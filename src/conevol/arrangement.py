@@ -689,7 +689,3 @@ def parse_family_spec(spec: str) -> Arrangement:
             raise ValueError("generic spec requires n= and d=")
         return named_family("generic", kv["d"], n=kv["n"], seed=kv.get("seed", 0))
     raise ValueError(f"unknown family {name!r}")
-
-
-def polynomial_to_json(p: Polynomial) -> list[int]:
-    return list(p.coeffs)

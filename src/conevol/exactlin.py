@@ -57,20 +57,12 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(u: Vec, s: Fraction) -> Vec:
     return tuple(a * s for a in u)
 
 
 def is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
-
-
-def zero_vec(dim: int) -> Vec:
-    return (ZERO,) * dim
 
 
 def unit_vec(i: int, dim: int) -> Vec:

@@ -1,14 +1,17 @@
 """Gaussian geometry of polyhedral cones: Monte Carlo and closed forms.
 
 This is the only floating-point layer.  A cone's face lattice is compiled
-once into a projection kernel (orthonormal span bases, facet normals,
-generators as float arrays); each standard Gaussian sample is then located
-in the facial decomposition of space — the unique face F with the sample's
-span-projection in relint(F) and the residual in the normal face — which
-identifies the metric projection onto the cone and the face dimension to
-tally.  Estimators are deterministic for a fixed (seed, workers): sample
-counts are partitioned across worker substreams keyed by (seed, stream,
-worker) and tallies merge by addition.
+once into a projection kernel: per-face span projectors and one stacked
+constraint matrix holding, for every face, its facet normals projected onto
+the face's span and its generators projected off it, padded to a common
+column count with slots masked to -inf.  Each standard Gaussian sample is
+then located in the facial decomposition of space — the unique face F with
+the sample's span-projection in relint(F) and the residual in the normal
+face — by one matmul per bounded chunk of rows, which identifies the metric
+projection onto the cone and the face dimension to tally.  Estimators are
+deterministic for a fixed (seed, workers): sample counts are partitioned
+across worker substreams keyed by (seed, stream, worker) and tallies merge
+by addition.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .cone import Cone, Face, FaceLattice, canonical_decomposition, face_lattice
 from .cone import cone_from_generators, cone_from_inequalities
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
+# floats in one chunk of classify's stacked margins: a cache-sized working set
+_CHUNK_FLOATS = 1 << 19
 
 
 class AmbiguousProjection(RuntimeError):
@@ -89,84 +94,104 @@ def _rng(seed: int, stream: int, worker: int) -> np.random.Generator:
 
 
 class ProjectionKernel:
-    """Float compilation of a face lattice for batched Moreau projection."""
+    """Float compilation of a face lattice for batched Moreau projection.
+
+    Face j is given by its span projector P_j = Q_j Q_j^T, the unit outer
+    normals A_j of the facets not active on it and the unit generators R_j
+    outside it.  Its margin at g is
+
+        min(-max A_j P_j g, -max R_j (I - P_j) g) = -max g^T W_j,
+        W_j = [P_j A_j^T | (I - P_j) R_j^T],
+
+    positive exactly when P_j g lies in relint(F_j) and g - P_j g in the
+    normal face.  The columns of every W_j are stacked slot-major into one
+    (m * nf, d) matrix, m the largest column count over the nf faces; the
+    slots a face does not fill are zero rows masked with -inf, so one
+    matmul per row chunk yields every face's margin.  A chunk holds as many
+    rows as keep its m * nf * rows margins within _CHUNK_FLOATS, which
+    bounds the working set whatever the batch size.
+    """
 
     def __init__(self, c: Cone, lattice: FaceLattice):
         if lattice.cone != c:
             raise ValueError("lattice does not belong to this cone")
         self.cone = c
         self.lattice = lattice
-        self.d = c.d
-        gens = np.array(
-            [[float(x) for x in g] for g in c.generators], dtype=float
-        ).reshape(len(c.generators), c.d)
-        norms = np.linalg.norm(gens, axis=1)
-        self.gens_unit = gens / norms[:, None] if len(gens) else gens
-        facets = np.array(
-            [[float(x) for x in a] for a in c.inequalities], dtype=float
-        ).reshape(len(c.inequalities), c.d)
-        fnorms = np.linalg.norm(facets, axis=1)
-        self.facets_unit = facets / fnorms[:, None] if len(facets) else facets
+        self.d = d = c.d
+        gens_unit = _unit_rows(c.generators, d)
+        facets_unit = _unit_rows(c.inequalities, d)
         self.face_dims = np.array([f.dim for f in lattice.faces], dtype=int)
         self.bases = []  # per-face orthonormal span basis, shape (d, k)
-        self.outer = []  # per-face facet normals not active at the face
-        self.outer_gens = []  # generators outside the face: the informative
-        # constraints for q in N_F C (generators inside the face pair to 0)
+        projs = []
+        blocks = []  # per-face W_j^T, shape (columns, d)
         for f in lattice.faces:
             if f.dim == 0:
-                q = np.zeros((c.d, 0))
+                q = np.zeros((d, 0))
             else:
                 rows = np.array(
                     [[float(x) for x in row] for row in f.span.basis], dtype=float
                 )
                 q, _ = np.linalg.qr(rows.T)
+            proj = q @ q.T
             self.bases.append(q)
-            out_idx = [i for i in range(len(c.inequalities)) if i not in f.active]
-            self.outer.append(self.facets_unit[out_idx] if out_idx else None)
-            gen_idx = [
-                i for i in range(len(c.generators)) if not f.gen_mask >> i & 1
-            ]
-            self.outer_gens.append(self.gens_unit[gen_idx] if gen_idx else None)
+            projs.append(proj)
+            outer = [i for i in range(len(c.inequalities)) if i not in f.active]
+            # generators inside the face pair to 0 with q in N_F C, so only
+            # those outside it constrain the residual
+            outer_gens = [i for i in range(len(c.generators))
+                          if not f.gen_mask >> i & 1]
+            blocks.append(np.vstack([facets_unit[outer] @ proj,
+                                     gens_unit[outer_gens] @ (np.eye(d) - proj)]))
+        nf = len(blocks)
+        m = max(1, max(len(b) for b in blocks))
+        w = np.zeros((m, nf, d))
+        pad = np.ones((m, nf), dtype=bool)
+        for j, b in enumerate(blocks):
+            w[:len(b), j] = b
+            pad[:len(b), j] = False
+        self.projectors = np.array(projs)  # (nf, d, d)
+        self._w = w.reshape(m * nf, d)
+        self._pad = np.flatnonzero(pad)  # rows of _w set to -inf after the matmul
+        self._slots = m
+        self._chunk = max(1, _CHUNK_FLOATS // (m * nf))
 
     def classify(self, g: np.ndarray):
         """Locate each row of g in the facial decomposition.
 
-        Returns (face_index, pnorm2, ok): ok is False where the margins do
-        not separate a unique face beyond tolerance.
+        Returns (face_index, pnorm2, ok, (m1, m2)): the face with the best
+        margin m1, the squared norm of the projection onto its span, and
+        the second best margin m2; ok is False where the margins do not
+        separate a unique face beyond tolerance.
         """
         b = g.shape[0]
         nf = len(self.bases)
+        best = np.empty(b, dtype=np.intp)
+        m1 = np.empty(b)
+        m2 = np.empty(b)
+        pnorm2 = np.empty(b)
+        for lo in range(0, b, self._chunk):
+            hi = min(lo + self._chunk, b)
+            gc = g[lo:hi]
+            cols = np.arange(hi - lo)
+            s = self._w @ gc.T
+            s[self._pad] = -np.inf
+            # worst constraint per face: minus the face's margin
+            s = s.reshape(self._slots, nf, hi - lo).max(axis=0)
+            k = np.argmin(s, axis=0)
+            m1[lo:hi] = -s[k, cols]
+            s[k, cols] = np.inf
+            m2[lo:hi] = -s.min(axis=0)
+            best[lo:hi] = k
+            pg = np.einsum("ri,rij->rj", gc, self.projectors[k])
+            pnorm2[lo:hi] = np.einsum("rj,rj->r", pg, gc)
         tol = REL_TOL * np.maximum(np.linalg.norm(g, axis=1), 1.0)
-        margins = np.empty((b, nf))
-        pnorm2 = np.empty((b, nf))
-        for j, q in enumerate(self.bases):
-            if q.shape[1] == 0:
-                p = np.zeros_like(g)
-                pnorm2[:, j] = 0.0
-            else:
-                v = g @ q
-                p = v @ q.T
-                pnorm2[:, j] = np.einsum("ij,ij->i", v, v)
-            out = self.outer[j]
-            if out is None:
-                s_rel = np.full(b, np.inf)
-            else:
-                s_rel = -np.max(p @ out.T, axis=1)
-            ogens = self.outer_gens[j]
-            if ogens is None:
-                s_pol = np.full(b, np.inf)
-            else:
-                s_pol = -np.max((g - p) @ ogens.T, axis=1)
-            margins[:, j] = np.minimum(s_rel, s_pol)
-        best = np.argmax(margins, axis=1)
-        m1 = margins[np.arange(b), best]
-        if nf > 1:
-            part = np.partition(margins, nf - 2, axis=1)
-            m2 = part[:, nf - 2]
-        else:
-            m2 = np.full(b, -np.inf)
         ok = (m1 > tol) & (m2 < -tol)
-        return best, pnorm2[np.arange(b), best], ok, (m1, m2)
+        return best, pnorm2, ok, (m1, m2)
+
+
+def _unit_rows(rows, d: int) -> np.ndarray:
+    a = np.array([[float(x) for x in r] for r in rows], dtype=float).reshape(len(rows), d)
+    return a / np.linalg.norm(a, axis=1)[:, None] if len(a) else a
 
 
 def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.ndarray, Face]:
@@ -442,19 +467,10 @@ def statdim_mc(c: Cone, cfg: SampleConfig, lattice: FaceLattice | None = None):
     kern = _kernel_for(c, lattice)
     total = 0.0
     total_sq = 0.0
+    for _, pn2 in _sample_faces(kern, cfg, stream=1):
+        total += float(pn2.sum())
+        total_sq += float((pn2 * pn2).sum())
     n = cfg.n_samples
-    per = [n // cfg.workers + (1 if w < n % cfg.workers else 0) for w in range(cfg.workers)]
-    for w, n_w in enumerate(per):
-        rng = _rng(cfg.seed, 1, w)
-        need = n_w
-        while need > 0:
-            b = min(_BATCH, need)
-            g = rng.standard_normal((b, kern.d))
-            idx, pn2, ok, _ = kern.classify(g)
-            pn2 = pn2[ok]
-            total += float(pn2.sum())
-            total_sq += float((pn2 * pn2).sum())
-            need -= int(ok.sum())
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return mean, max(math.sqrt(var / n), 1.0 / n)
