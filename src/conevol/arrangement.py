@@ -5,8 +5,11 @@ Hyperplanes are stored as primitive normals with positive leading entry
 by breadth-first closure under single-hyperplane intersection; the Möbius
 function by the standard recursion; characteristic polynomials carry exact
 integer coefficients.  Chambers are enumerated by incremental insertion on
-V-representations: inserting a hyperplane splits exactly the chambers with
-generators strictly on both sides, decided by exact sign counts.
+V-representations with the double-description step `cone._dd_step`, the
+same step that converts cones between representations: inserting a
+hyperplane splits exactly the chambers with generators strictly on both
+sides, decided by exact signs.  Regions of dimension j are the chambers of
+the restrictions to j-flats, lifted back to ambient coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import Cone, _from_vrep, _lift
+from .cone import Cone, InvariantViolation, _dd_step, _from_vrep, _lift
 from .exactlin import (
     Mat,
     Subspace,
@@ -26,14 +29,10 @@ from .exactlin import (
     is_zero,
     kernel,
     mat,
-    primitive,
     rref,
     sign_canonical,
     subspace_from_rows,
     unit_vec,
-    vadd,
-    vec,
-    vscale,
 )
 
 
@@ -325,111 +324,57 @@ def _ambient_flat(d: int) -> Flat:
     return Flat(full_space(d), frozenset())
 
 
+def _chamber_rays(a: Arrangement) -> tuple[Subspace, list[tuple[list[Vec], tuple[int, ...]]]]:
+    """Chambers as raw V-representations: (common lineality, [(rays, signs)]).
+
+    Rays are not canonicalized; each chamber is the cone they span plus the
+    lineality subspace shared by every chamber.
+    """
+    lin_rows: Mat = tuple(unit_vec(i, a.d) for i in range(a.d))
+    chams: list[tuple[list, tuple[int, ...]]] = [([], ())]
+    for t, nrm in enumerate(a.normals):
+        next_chams = []
+        for rays, signs in chams:
+            new_lin, plus, minus = _dd_step(rays, lin_rows, nrm, t)
+            # a half is a new chamber iff it has a ray strictly off the hyperplane
+            for side, sign in ((plus, 1), (minus, -1)):
+                if any(not z >> t & 1 for _, z in side):
+                    next_chams.append((side, signs + (sign,)))
+        lin_rows = new_lin
+        chams = next_chams
+    return Subspace(a.d, lin_rows), [([r for r, _ in rays], signs) for rays, signs in chams]
+
+
 def chambers(a: Arrangement) -> list[Region]:
     """Closures of the connected components of the complement.
 
     Incremental insertion: each chamber carries its extreme rays (with
-    on-hyperplane bitmasks) modulo the running common lineality; a
-    hyperplane splits a chamber iff it has generators strictly on both
-    sides, and the two halves are produced by the double-description step.
+    on-hyperplane bitmasks) modulo the running common lineality, and each
+    hyperplane is inserted by the double-description step `cone._dd_step`
+    that also converts cones between representations.  A hyperplane splits
+    a chamber iff both halves have a ray strictly off it.
     """
-    d = a.d
-    lin_rows: tuple[Vec, ...] = tuple(unit_vec(i, d) for i in range(d))
-    # chamber = (rays: list[(vec, mask)], signs: list[int])
-    chams: list[tuple[list, list]] = [([], [])]
-    for t, nrm in enumerate(a.normals):
-        hit = next((i for i, row in enumerate(lin_rows) if dot(nrm, row) != 0), None)
-        if hit is not None:
-            v0 = lin_rows[hit]
-            if dot(nrm, v0) < 0:
-                v0 = tuple(-x for x in v0)
-            s0 = dot(nrm, v0)
-            new_lin = rref(
-                [
-                    vadd(row, vscale(v0, -dot(nrm, row) / s0))
-                    for i, row in enumerate(lin_rows)
-                    if i != hit
-                ]
-            )
-            lin_sub = Subspace(d, new_lin)
-            prev_mask = (1 << t) - 1
-            next_chams = []
-            for rays, signs in chams:
-                adj = [
-                    (primitive(lin_sub.reduce(vadd(r, vscale(v0, -dot(nrm, r) / s0)))),
-                     z | (1 << t))
-                    for r, z in rays
-                ]
-                vplus = primitive(lin_sub.reduce(v0))
-                vminus = primitive(lin_sub.reduce(tuple(-x for x in v0)))
-                next_chams.append((adj + [(vplus, prev_mask)], signs + [1]))
-                next_chams.append(
-                    ([(r, z) for r, z in adj] + [(vminus, prev_mask)], signs + [-1])
-                )
-            lin_rows = new_lin
-            chams = next_chams
-            continue
-        next_chams = []
-        for rays, signs in chams:
-            plus, zero, minus = [], [], []
-            for idx, (r, z) in enumerate(rays):
-                s = dot(nrm, r)
-                if s > 0:
-                    plus.append((idx, r, z, s))
-                elif s < 0:
-                    minus.append((idx, r, z, s))
-                else:
-                    zero.append((r, z | (1 << t)))
-            if not minus:
-                next_chams.append(([(r, z) for _, r, z, _ in plus] + zero, signs + [1]))
-                continue
-            if not plus:
-                next_chams.append(([(r, z) for _, r, z, _ in minus] + zero, signs + [-1]))
-                continue
-            combos = []
-            for ip, rp, zp, sp in plus:
-                for im, rm, zm, sm in minus:
-                    common = zp & zm
-                    adjacent = True
-                    for i3, (_, z3) in enumerate(rays):
-                        if i3 != ip and i3 != im and common & z3 == common:
-                            adjacent = False
-                            break
-                    if adjacent:
-                        w = primitive(vadd(vscale(rm, sp), vscale(rp, -sm)))
-                        combos.append((w, common | (1 << t)))
-            side_p = [(r, z) for _, r, z, _ in plus] + zero + combos
-            side_m = [(r, z) for _, r, z, _ in minus] + zero + combos
-            next_chams.append((side_p, signs + [1]))
-            next_chams.append((side_m, signs + [-1]))
-        chams = next_chams
-    lin_final = Subspace(d, lin_rows)
-    flat0 = _ambient_flat(d)
-    out = []
-    for rays, signs in chams:
-        cone = _from_vrep([r for r, _ in rays], lin_final, d)
-        out.append(Region(tuple(signs), cone, flat0))
-    return out
+    lin, chams = _chamber_rays(a)
+    flat0 = _ambient_flat(a.d)
+    return [Region(signs, _from_vrep(rays, lin, a.d), flat0) for rays, signs in chams]
 
 
 def _region_sign_vector(a: Arrangement, cone: Cone) -> tuple[int, ...]:
-    gens = cone.generators
-    lin = cone.lineality.basis
     signs = []
     for nrm in a.normals:
-        if all(dot(nrm, g) == 0 for g in gens) and all(dot(nrm, v) == 0 for v in lin):
-            signs.append(0)
-            continue
-        total = sum((dot(nrm, g) for g in gens), Fraction(0))
-        assert total != 0, "region straddles a hyperplane"
-        signs.append(1 if total > 0 else -1)
+        if any(dot(nrm, v) != 0 for v in cone.lineality.basis):
+            raise InvariantViolation("region lineality crosses a hyperplane")
+        found = {1 if s > 0 else -1 for s in (dot(nrm, g) for g in cone.generators) if s != 0}
+        if len(found) > 1:
+            raise InvariantViolation("region straddles a hyperplane")
+        signs.append(found.pop() if found else 0)
     return tuple(signs)
 
 
 def regions_j(a: Arrangement, j: int,
               lattice: IntersectionLattice | None = None) -> list[Region]:
     """All j-dimensional faces of chambers: chambers of restrictions to
-    j-flats, mapped back to ambient coordinates."""
+    j-flats, with their rays mapped back to ambient coordinates."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
     lat = lattice or intersection_lattice(a)
@@ -437,12 +382,11 @@ def regions_j(a: Arrangement, j: int,
     for flat in lat.flats:
         if flat.dim != j:
             continue
-        rest = restriction(a, flat)
         basis = flat.subspace.basis
-        for reg in chambers(rest):
-            gens = [_lift(g, basis) for g in reg.cone.generators]
-            lin = [_lift(v, basis) for v in reg.cone.lineality.basis]
-            cone = _from_vrep(gens, subspace_from_rows(lin, a.d), a.d)
+        flat_lin, chams = _chamber_rays(restriction(a, flat))
+        lin = subspace_from_rows([_lift(v, basis) for v in flat_lin.basis], a.d)
+        for rays, _ in chams:
+            cone = _from_vrep([_lift(r, basis) for r in rays], lin, a.d)
             out.append(Region(_region_sign_vector(a, cone), cone, flat))
     return out
 

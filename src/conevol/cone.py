@@ -10,10 +10,15 @@ Cones are stored with both representations in canonical form:
 * equalities: the RREF basis of lin(C)^perp.
 
 Equality of cones is therefore equality of canonical data.  Conversion
-between the representations is done by the double description method,
-processing one halfspace at a time; the combinatorial adjacency test is
-applied modulo the current lineality space, which keeps the working cone
-pointed in the quotient.
+between the representations is done by the double description method
+(Fukuda–Prodon), processing one halfspace at a time.  Each step is
+`_dd_step`: it splits off the lineality direction the hyperplane crosses,
+partitions the rays into +/0/− by sign, and joins adjacent +/− pairs,
+where the combinatorial adjacency test is applied modulo the current
+lineality space, which keeps the working cone pointed in the quotient.
+`_dd_step` returns both closed halves of the cut; conversion keeps the
+<= 0 half, and chamber enumeration in `arrangement` keeps every half that
+is not flat on the hyperplane.
 """
 
 from __future__ import annotations
@@ -120,6 +125,72 @@ def _canon_rays(rays, lin: Subspace) -> Mat:
     return tuple(sorted(out))
 
 
+def _dd_step(rays, lin_rows, a: Vec, t: int):
+    """One double-description step: cut lin_rows + cone(rays) by <a, x> = 0.
+
+    Rays are (vector, zero-set bitmask) pairs, taken modulo the RREF
+    lineality basis lin_rows.  Returns (lin_rows, plus, minus): the new
+    lineality basis and the ray lists of the closed halves <a, x> >= 0 and
+    <a, x> <= 0.  Bit t is set exactly on the rays lying on the hyperplane,
+    so a half whose rays all carry bit t lies inside it.
+    """
+    hit = next((i for i, row in enumerate(lin_rows) if dot(a, row) != 0), None)
+    if hit is not None:
+        # a lineality direction v0 crosses the hyperplane: project the rest
+        # of the cone along v0 onto it; ±v0 becomes one ray on each side
+        v0 = lin_rows[hit]
+        s0 = dot(a, v0)
+        new_lin = []
+        for i, row in enumerate(lin_rows):
+            if i == hit:
+                continue
+            s = dot(a, row)
+            new_lin.append(vadd(row, vscale(v0, -s / s0)) if s != 0 else row)
+        lin_rows = rref(new_lin)
+        lin_sub = Subspace(len(a), lin_rows)
+        on = []
+        for r, z in rays:
+            s = dot(a, r)
+            rr = vadd(r, vscale(v0, -s / s0)) if s != 0 else r
+            on.append((primitive(lin_sub.reduce(rr)), z | (1 << t)))
+        up = primitive(lin_sub.reduce(v0))
+        down = tuple(-x for x in up)
+        if s0 < 0:
+            up, down = down, up
+        prev = (1 << t) - 1
+        return lin_rows, on + [(up, prev)], on + [(down, prev)]
+    # lineality is inside the hyperplane; split the pointed part
+    plus, zero, minus = [], [], []
+    for idx, (r, z) in enumerate(rays):
+        s = dot(a, r)
+        if s > 0:
+            plus.append((idx, r, z, s))
+        elif s < 0:
+            minus.append((idx, r, z, s))
+        else:
+            zero.append((r, z | (1 << t)))
+    # a new ray lies on the hyperplane: it can only repeat a zero or new ray
+    seen = {r for r, _ in zero}
+    for ip, rp, zp, sp in plus:
+        for im, rm, zm, sm in minus:
+            common = zp & zm
+            adjacent = True
+            for i3, (_, z3) in enumerate(rays):
+                if i3 != ip and i3 != im and common & z3 == common:
+                    adjacent = False
+                    break
+            if adjacent:
+                w = primitive(vadd(vscale(rm, sp), vscale(rp, -sm)))
+                if w not in seen:
+                    seen.add(w)
+                    zero.append((w, common | (1 << t)))
+    return (
+        lin_rows,
+        [(r, z) for _, r, z, _ in plus] + zero,
+        [(r, z) for _, r, z, _ in minus] + zero,
+    )
+
+
 def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
     """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}.
 
@@ -138,64 +209,10 @@ def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
             seen.add(ap)
             cons.append(ap)
 
-    lin_rows: list[Vec] = [unit_vec(i, m) for i in range(m)]
-    rays: list[tuple[Vec, int]] = []  # (vector, zero-set bitmask over constraints)
-
+    lin_rows: Mat = tuple(unit_vec(i, m) for i in range(m))
+    rays: list[tuple[Vec, int]] = []
     for t, a in enumerate(cons):
-        hit = next((i for i, row in enumerate(lin_rows) if dot(a, row) != 0), None)
-        if hit is not None:
-            v0 = lin_rows[hit]
-            if dot(a, v0) > 0:
-                v0 = tuple(-x for x in v0)
-            s0 = dot(a, v0)
-            new_lin = []
-            for i, row in enumerate(lin_rows):
-                if i == hit:
-                    continue
-                s = dot(a, row)
-                new_lin.append(vadd(row, vscale(v0, -s / s0)) if s != 0 else row)
-            lin_rows = list(rref(new_lin))
-            lin_sub = Subspace(m, tuple(lin_rows))
-            new_rays = []
-            for r, z in rays:
-                s = dot(a, r)
-                rr = vadd(r, vscale(v0, -s / s0)) if s != 0 else r
-                new_rays.append((primitive(lin_sub.reduce(rr)), z | (1 << t)))
-            new_rays.append((primitive(lin_sub.reduce(v0)), (1 << t) - 1))
-            rays = new_rays
-            continue
-        # lineality is inside the hyperplane; split the pointed part
-        plus, zero, minus = [], [], []
-        for idx, (r, z) in enumerate(rays):
-            s = dot(a, r)
-            if s > 0:
-                plus.append((idx, r, z, s))
-            elif s < 0:
-                minus.append((idx, r, z, s))
-            else:
-                zero.append((r, z | (1 << t)))
-        if not plus:
-            rays = [(r, z) for _, r, z, _ in minus] + zero
-            continue
-        kept = [(r, z) for _, r, z, _ in minus] + zero
-        combos = []
-        for ip, rp, zp, sp in plus:
-            for im, rm, zm, sm in minus:
-                common = zp & zm
-                adjacent = True
-                for i3, (_, z3) in enumerate(rays):
-                    if i3 != ip and i3 != im and common & z3 == common:
-                        adjacent = False
-                        break
-                if adjacent:
-                    w = primitive(vadd(vscale(rm, sp), vscale(rp, -sm)))
-                    combos.append((w, common | (1 << t)))
-        seen_vecs = {r for r, _ in kept}
-        for w, z in combos:
-            if w not in seen_vecs:
-                seen_vecs.add(w)
-                kept.append((w, z))
-        rays = kept
+        lin_rows, _, rays = _dd_step(rays, lin_rows, a, t)
 
     lin_ambient = subspace_from_rows(
         [_lift(row, basis) for row in lin_rows], d

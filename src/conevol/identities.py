@@ -670,6 +670,20 @@ def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> Verifica
 # Arrangement identities
 
 
+def _region_iv_sums(regs, d: int, cfg: SampleConfig,
+                    *tags: int) -> tuple[list[float], list[float]]:
+    """Sums over regions of the estimated intrinsic volumes v_0..v_d and of
+    their variances; region i is sampled with sub-seed (*tags, i)."""
+    sums = [0.0] * (d + 1)
+    variances = [0.0] * (d + 1)
+    for i, reg in enumerate(regs):
+        est = estimate_iv(reg.cone, _sub_cfg(cfg, *tags, i))
+        for k in range(d + 1):
+            sums[k] += est.values[k]
+            variances[k] += est.std_errors[k] ** 2
+    return sums, variances
+
+
 def verify_zaslavsky(a: Arrangement,
                      lattice: IntersectionLattice | None = None) -> VerificationReport:
     """r_j(A) = (-1)^j chi_{A,j}(-1) for every j, by exact enumeration."""
@@ -690,13 +704,7 @@ def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig,
     lat = lattice or intersection_lattice(a)
     chi = level_char_poly(a, j, lat)
     regs = regions_j(a, j, lat)
-    sums = [0.0] * (a.d + 1)
-    variances = [0.0] * (a.d + 1)
-    for i, reg in enumerate(regs):
-        est = estimate_iv(reg.cone, _sub_cfg(cfg, 23, j, i))
-        for k in range(a.d + 1):
-            sums[k] += est.values[k]
-            variances[k] += est.std_errors[k] ** 2
+    sums, variances = _region_iv_sums(regs, a.d, cfg, 23, j)
     worst = 0.0
     for k in range(j + 1):
         expected = (-1) ** (j - k) * chi.coefficient(k)
@@ -766,13 +774,7 @@ def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationRepor
     arr = named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24))
     regs = chambers(arr)
     expected = cover_efron_expected_iv(n, d)
-    sums = [0.0] * (d + 1)
-    variances = [0.0] * (d + 1)
-    for i, reg in enumerate(regs):
-        est = estimate_iv(reg.cone, _sub_cfg(cfg, 25, i))
-        for k in range(d + 1):
-            sums[k] += est.values[k]
-            variances[k] += est.std_errors[k] ** 2
+    sums, variances = _region_iv_sums(regs, d, cfg, 25)
     r = len(regs)
     worst = 0.0
     for k in range(d + 1):

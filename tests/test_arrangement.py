@@ -3,11 +3,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conevol.arrangement import (
     Arrangement,
     BiPolynomial,
     Polynomial,
+    _region_sign_vector,
     arr_product,
     arrangement,
     arrangement_from_json,
@@ -31,7 +34,14 @@ from conevol.arrangement import (
     zaslavsky_count,
 )
 from conevol.catalog import build_arrangements
-from conevol.exactlin import lp_strictly_feasible, subspace_from_rows, vec
+from conevol.cone import (
+    InvariantViolation,
+    _from_vrep,
+    _lift,
+    cone_from_generators,
+    cone_from_inequalities,
+)
+from conevol.exactlin import dot, lp_strictly_feasible, subspace_from_rows, vec
 
 BRAID3 = named_family("braid", 3)
 BC2 = named_family("bc", 2)
@@ -193,6 +203,77 @@ def test_regions_j_braid3():
     # lower regions carry zero signs on containing hyperplanes
     for reg in regions_j(BRAID3, 2):
         assert sum(1 for s in reg.sign_vector if s == 0) == 1
+
+
+def reference_regions_j(a: Arrangement, j: int) -> list[tuple]:
+    """Two-step construction: build each chamber of the restriction to a
+    j-flat as a cone in flat coordinates, then lift its canonical generators
+    and lineality and rebuild the cone in ambient coordinates.  Signs are
+    read off the sum of the generators, a relative interior point."""
+    out = []
+    for flat in intersection_lattice(a).flats:
+        if flat.dim != j:
+            continue
+        basis = flat.subspace.basis
+        for reg in chambers(restriction(a, flat)):
+            gens = [_lift(g, basis) for g in reg.cone.generators]
+            lin = [_lift(v, basis) for v in reg.cone.lineality.basis]
+            cone = _from_vrep(gens, subspace_from_rows(lin, a.d), a.d)
+            inner = tuple(sum(xs) for xs in zip(*gens)) if gens else (0,) * a.d
+            signs = tuple((dot(n, inner) > 0) - (dot(n, inner) < 0) for n in a.normals)
+            out.append((signs, cone, flat))
+    return out
+
+
+def test_regions_j_matches_two_step_reference():
+    arrs = build_arrangements()
+    for spec in ("braid:4", "bc:3"):
+        assert parse_family_spec(spec) in [a for _, a in arrs]
+    # a 2-dimensional lineality space, lifted with every region
+    arrs.append(("rank-2-in-4d", arrangement([[1, 1, 0, 0], [0, 1, -1, 0], [1, 2, -1, 0]], 4)))
+    for name, a in arrs:
+        lat = intersection_lattice(a)
+        for j in range(a.d + 1):
+            got = [(r.sign_vector, r.cone, r.flat) for r in regions_j(a, j, lat)]
+            assert got == reference_regions_j(a, j), (name, j)
+
+
+def test_chambers_match_h_to_v_conversion():
+    # V-representation insertion against H-to-V double description
+    for name, a in build_arrangements():
+        for reg in chambers(a):
+            normals = [tuple(-s * x for x in n) for s, n in zip(reg.sign_vector, a.normals)]
+            assert reg.cone == cone_from_inequalities(normals, a.d), (name, reg.sign_vector)
+
+
+@st.composite
+def _small_arrangements(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-2, max_value=2), min_size=d, max_size=d)
+    rows = draw(st.lists(row.filter(any), min_size=1, max_size=6))
+    return arrangement(rows, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_arrangements())
+def test_region_counts_match_zaslavsky_random(a):
+    lat = intersection_lattice(a)
+    assert len(chambers(a)) == zaslavsky_count(a, a.d, lat)
+    for j in range(a.d + 1):
+        regs = regions_j(a, j, lat)
+        assert len(regs) == zaslavsky_count(a, j, lat), j
+        assert all(r.cone.dim == j for r in regs), j
+
+
+def test_region_sign_vector_rejects_straddling():
+    a = arrangement([[1, 0]], 2)
+    # dot products 2 and -1 sum to a nonzero value but have mixed signs
+    with pytest.raises(InvariantViolation):
+        _region_sign_vector(a, cone_from_generators([[2, 1], [-1, 1]], [], 2))
+    with pytest.raises(InvariantViolation):
+        _region_sign_vector(a, cone_from_generators([[0, 1]], [[1, 0]], 2))
+    assert _region_sign_vector(a, cone_from_generators([[2, 1], [1, -1]], [], 2)) == (1,)
+    assert _region_sign_vector(a, cone_from_generators([], [[0, 1]], 2)) == (0,)
 
 
 def test_zaslavsky_all_catalog():
