@@ -288,18 +288,6 @@ def bivariate_poly(a: Arrangement, lattice: IntersectionLattice | None = None) -
     return BiPolynomial.from_dict(out)
 
 
-def whitney_char_poly(a: Arrangement) -> Polynomial:
-    """Independent oracle: chi(t) = sum over subarrangements B of
-    (-1)^{|B|} t^{d - rank(B)} (exponential in n; test sizes only)."""
-    n = len(a.normals)
-    coeffs = [0] * (a.d + 1)
-    for mask in range(1 << n):
-        rows = [a.normals[i] for i in range(n) if mask >> i & 1]
-        r = len(rref(rows))
-        coeffs[a.d - r] += (-1) ** bin(mask).count("1")
-    return Polynomial.of(coeffs)
-
-
 def restriction(a: Arrangement, flat) -> Arrangement:
     """The arrangement {H ∩ L : H not containing L} in coordinates of L.
 
@@ -591,13 +579,6 @@ def expected_statdim_family(family: str, j: int) -> Fraction:
     if family == "bc":
         return harmonic(j) / 2
     raise ValueError("closed form available for braid and bc only")
-
-
-def arr_product(a: Arrangement, b: Arrangement) -> Arrangement:
-    """Product arrangement in R^(d_a + d_b)."""
-    rows = [tuple(n) + (Fraction(0),) * b.d for n in a.normals]
-    rows += [(Fraction(0),) * a.d + tuple(n) for n in b.normals]
-    return arrangement(rows, a.d + b.d)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--j", type=int, default=None)
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--d", type=int, default=None)
-    s.add_argument("--t-grid", default="-1,-0.5,0.5,1")
+    s.add_argument("--t-grid", default="-1,-0.5,0.3")
     sub.add_parser("suite", parents=[common],
                    help="full identity battery over the bundled library")
     return p

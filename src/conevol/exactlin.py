@@ -23,16 +23,23 @@ ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction.
+
+    Raises ValueError for anything else (floats, booleans, a zero
+    denominator), so malformed input files are reported as input errors.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("boolean is not a rational")
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+        raise ValueError("boolean is not a rational")
     if isinstance(x, float):
-        raise TypeError("floats are not accepted in the exact layer")
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+        raise ValueError("floats are not accepted in the exact layer")
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
+    raise ValueError(f"cannot interpret {x!r} as a rational")
 
 
 def vec(xs: Iterable) -> Vec:

@@ -8,6 +8,13 @@ combined in quadrature across independent estimates and floored at
 1/n_samples.  Monte Carlo inputs are estimated by sampling (faces and
 regions included), so the checks exercise the estimator, not the closed
 forms; exact values enter only on reference sides.
+
+Sums of one kind go through one helper each: `_face_alternation` is the
+face loop of the conic Sommerville relation, which the Sommerville,
+face-alternation, statdim-alternation and genfun-alternation checks call
+with the functionals e_0, e_k, (k) and (e^{tk}); `_rotation_mean` is the
+Haar-rotation loop of the kinematic and polar-kinematic checks; and
+`_region_iv_sums` sums estimated intrinsic volumes over regions.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from .volumes import (
     exact_iv,
     haar_rotation,
     solid_angle_se,
+    statdim_mc,
     tangent_cone,
 )
 
@@ -145,22 +153,36 @@ def verify_euler(c: Cone) -> VerificationReport:
     )
 
 
-def _face_estimates(c: Cone, cfg: SampleConfig, tag: int):
-    """Sampled intrinsic-volume estimates for every face of c (ambient)."""
-    fl = face_lattice(c)
-    ests = []
-    for i, f in enumerate(fl.faces):
-        ests.append((f, estimate_iv(f.cone, _sub_cfg(cfg, tag, i))))
-    return fl, ests
+def _face_alternation(c: Cone, phi, cfg: SampleConfig, tag: int):
+    """The conic Sommerville relation at the functional phi:
+    lhs = sum_k (-1)^k phi_k vhat_k(C) against
+    rhs = sum over faces F of (-1)^dim F sum_k phi_k vhat_k(F), face i
+    sampled at sub-seed (tag, i).  Returns (lhs, rhs, z); the estimate of C
+    itself enters the residual once, with net coefficients."""
+    alt = [(-1) ** k * p for k, p in enumerate(phi)]
+    lhs = rhs = residual = 0.0
+    ses = []
+    for i, f in enumerate(face_lattice(c).faces):
+        e = estimate_iv(f.cone, _sub_cfg(cfg, tag, i))
+        sign = (-1) ** f.dim
+        rhs += sign * sum(p * v for p, v in zip(phi, e.values))
+        coeffs = [-sign * p for p in phi]
+        if f.cone == c:
+            lhs = sum(a * v for a, v in zip(alt, e.values))
+            coeffs = [a + cf for a, cf in zip(alt, coeffs)]
+        residual += sum(cf * v for cf, v in zip(coeffs, e.values))
+        ses.append(_functional_se(e, coeffs))
+    return lhs, rhs, abs(residual) / _floor_se(_quad(*ses), cfg.n_samples)
 
 
-def _weighted_residual_z(contribs, cfg: SampleConfig):
-    """z-score of sum w_i x_i against 0, one (value, se, weight) per
-    independent estimate (an estimate appearing on both sides of an
-    identity contributes once, with the net weight)."""
-    residual = sum(w * v for v, _, w in contribs)
-    se = _floor_se(_quad(*(w * s for _, s, w in contribs)), cfg.n_samples)
-    return residual, se
+def _alternation_report(name: str, c: Cone, phi, cfg: SampleConfig,
+                        tag: int) -> VerificationReport:
+    lhs, rhs, z = _face_alternation(c, phi, cfg, tag)
+    return VerificationReport(
+        identity=name, status="pass" if z <= cfg.tolerance_sigmas else "fail",
+        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
+        seed=cfg.seed,
+    )
 
 
 def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -172,24 +194,7 @@ def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
             residual_or_z=0.0, seed=cfg.seed,
             notes="lineality: both sides vanish exactly",
         )
-    fl, ests = _face_estimates(c, cfg, tag=1)
-    lhs = rhs = 0.0
-    contribs = []
-    for f, e in ests:
-        sign = (-1) ** f.dim
-        rhs += sign * e.values[0]
-        w = -sign
-        if f.cone == c:
-            lhs = e.values[0]
-            w += 1.0
-        contribs.append((e.values[0], e.std_errors[0], w))
-    residual, se = _weighted_residual_z(contribs, cfg)
-    z = abs(residual) / se
-    return VerificationReport(
-        identity="sommerville", status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    return _alternation_report("sommerville", c, [1] + [0] * c.d, cfg, tag=1)
 
 
 def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> VerificationReport:
@@ -197,8 +202,8 @@ def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> Verif
     if g.parent != c:
         raise ValueError("face does not belong to this cone")
     fl = face_lattice(c)
-    lhs = rhs = 0.0
-    contribs = []
+    lhs = rhs = residual = 0.0
+    ses = []
     for i, f in enumerate(fl.faces):
         if g.gen_mask & f.gen_mask != g.gen_mask:
             continue  # v_G(F) = 0 when G is not a face of F
@@ -211,13 +216,14 @@ def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> Verif
         se = _floor_se(math.sqrt(v_g * (1 - v_g) / est.n_samples), est.n_samples)
         sign = (-1) ** f.dim
         rhs += sign * v_g
+        # an estimate on both sides contributes once, with the net weight
         w = -sign
         if f.cone == c:
             lhs = (-1) ** g.dim * v_g
             w += (-1) ** g.dim
-        contribs.append((v_g, se, w))
-    residual, se = _weighted_residual_z(contribs, cfg)
-    z = abs(residual) / se
+        residual += w * v_g
+        ses.append(w * se)
+    z = abs(residual) / _floor_se(_quad(*ses), cfg.n_samples)
     return VerificationReport(
         identity="generalized-sommerville",
         status="pass" if z <= cfg.tolerance_sigmas else "fail",
@@ -230,25 +236,9 @@ def verify_face_alternation(c: Cone, k: int, cfg: SampleConfig) -> VerificationR
     """(-1)^k v_k(C) = sum over faces of (-1)^dim F v_k(F)."""
     if not 0 <= k <= c.d:
         raise ValueError("index out of range")
-    fl, ests = _face_estimates(c, cfg, tag=3)
-    lhs = rhs = 0.0
-    contribs = []
-    for f, e in ests:
-        sign = (-1) ** f.dim
-        rhs += sign * e.values[k]
-        w = -sign
-        if f.cone == c:
-            lhs = (-1) ** k * e.values[k]
-            w += (-1) ** k
-        contribs.append((e.values[k], e.std_errors[k], w))
-    residual, se = _weighted_residual_z(contribs, cfg)
-    z = abs(residual) / se
-    return VerificationReport(
-        identity=f"face-alternation[k={k}]",
-        status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    phi = [0] * (c.d + 1)
+    phi[k] = 1
+    return _alternation_report(f"face-alternation[k={k}]", c, phi, cfg, tag=3)
 
 
 def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -271,55 +261,14 @@ def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
 
 def verify_statdim_alternation(c: Cone, cfg: SampleConfig) -> VerificationReport:
     """sum (-1)^k k v_k(C) = sum over faces of (-1)^dim F delta(F)."""
-    fl, ests = _face_estimates(c, cfg, tag=4)
-    alt = [(-1) ** k * k for k in range(c.d + 1)]
-    dims = list(range(c.d + 1))
-    lhs = rhs = 0.0
-    contribs = []
-    for f, e in ests:
-        sign = (-1) ** f.dim
-        delta = sum(k * v for k, v in zip(dims, e.values))
-        rhs += sign * delta
-        coeffs = [-sign * k for k in dims]
-        if f.cone == c:
-            lhs = sum(cf * v for cf, v in zip(alt, e.values))
-            coeffs = [a - sign * k for a, k in zip(alt, dims)]
-        contribs.append((sum(cf * v for cf, v in zip(coeffs, e.values)),
-                         _functional_se(e, coeffs), 1.0))
-    residual, se = _weighted_residual_z(contribs, cfg)
-    z = abs(residual) / se
-    return VerificationReport(
-        identity="statdim-alternation",
-        status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    return _alternation_report("statdim-alternation", c, list(range(c.d + 1)), cfg,
+                               tag=4)
 
 
 def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> VerificationReport:
     """E[(-1)^V e^{tV}] over C = sum over faces of (-1)^dim F E[e^{tV_F}]."""
-    fl, ests = _face_estimates(c, cfg, tag=5)
-    alt = [(-1) ** k * math.exp(t * k) for k in range(c.d + 1)]
-    pos = [math.exp(t * k) for k in range(c.d + 1)]
-    lhs = rhs = 0.0
-    contribs = []
-    for f, e in ests:
-        sign = (-1) ** f.dim
-        rhs += sign * sum(cf * v for cf, v in zip(pos, e.values))
-        coeffs = [-sign * p for p in pos]
-        if f.cone == c:
-            lhs = sum(cf * v for cf, v in zip(alt, e.values))
-            coeffs = [a - sign * p for a, p in zip(alt, pos)]
-        contribs.append((sum(cf * v for cf, v in zip(coeffs, e.values)),
-                         _functional_se(e, coeffs), 1.0))
-    residual, se = _weighted_residual_z(contribs, cfg)
-    z = abs(residual) / se
-    return VerificationReport(
-        identity=f"genfun-alternation[t={t}]",
-        status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    return _alternation_report(f"genfun-alternation[t={t}]", c,
+                               [math.exp(t * k) for k in range(c.d + 1)], cfg, tag=5)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +278,21 @@ def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> Verificat
 def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport:
     """The squared projection length has the chi-squared mixture MGF:
     E[e^{s|P_C g|^2}] = E[e^{tV}] at s = (1 - e^{-2t})/2, plus the matching
-    first moments E[|P_C g|^2] = sum k vhat_k from the same sample stream."""
+    first moments E[|P_C g|^2] = sum k vhat_k from the same sample stream.
+
+    The sampled e^{s|P_C g|^2} has finite variance only for s < 1/4, that is
+    t < ln 2 / 2 ~ 0.347; a grid point outside raises ValueError.  On it
+    (1 - 2s)^{-1/2} = e^t, so the closed form sum_k v_k (1 - 2s)^{-k/2} is
+    the same number as sum_k v_k e^{tk}."""
     worst = 0.0
     details = []
     funcs = {"moment": lambda dims, pn2: pn2 - dims}
-    s_of = {}
     for i, t in enumerate(t_grid):
         s = (1.0 - math.exp(-2.0 * t)) / 2.0
-        if s >= 0.5:
-            raise ValueError(f"s(t) = {s} leaves the chi-squared MGF domain")
-        s_of[t] = s
+        if not s < 0.25:
+            raise ValueError(
+                f"t = {t} gives s = {s}: the MGF estimate has finite variance "
+                "only for s < 1/4 (t < ln 2 / 2)")
         funcs[f"mgf{i}"] = (
             lambda dims, pn2, s=s, t=t: np.exp(s * pn2) - np.exp(t * dims)
         )
@@ -348,9 +302,6 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
         z = abs(mean) / _floor_se(se, cfg.n_samples)
         worst = max(worst, z)
         details.append(f"t={t}: z={z:.2f}")
-        # the closed form sum_k v_k (1-2s)^{-k/2} is the same number as
-        # sum_k v_k e^{tk}: (1 - 2s)^{-1/2} = e^t by construction
-        assert abs((1 - 2 * s_of[t]) ** -0.5 - math.exp(t)) < 1e-12
     mean, se = stats["moment"]
     zm = abs(mean) / _floor_se(se, cfg.n_samples)
     worst = max(worst, zm)
@@ -366,11 +317,9 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
 def verify_statdim_consistency(c: Cone, cfg: SampleConfig) -> VerificationReport:
     """Two routes to the statistical dimension: sum k vhat_k versus the
     independently sampled mean squared projection norm."""
-    from .volumes import statdim_functional_se, statdim_mc
-
     est = estimate_iv(c, _sub_cfg(cfg, 6))
     route1 = sum(k * v for k, v in enumerate(est.values))
-    se1 = statdim_functional_se(est)
+    se1 = _functional_se(est, range(c.d + 1))
     route2, se2 = statdim_mc(c, _sub_cfg(cfg, 7))
     se = _floor_se(_quad(se1, se2), cfg.n_samples)
     return _report_z("statdim-consistency", route1, route2, se, cfg)
@@ -378,13 +327,6 @@ def verify_statdim_consistency(c: Cone, cfg: SampleConfig) -> VerificationReport
 
 # ---------------------------------------------------------------------------
 # McMullen incidence-algebra inverses
-
-
-def _locate(lattice, cone: Cone) -> Face:
-    for f in lattice.faces:
-        if f.cone == cone:
-            return f
-    raise ValueError("cone is not a face of the lattice")
 
 
 def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -429,17 +371,13 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
 
 def _angle_pair(g: Face, f: Face, cfg: SampleConfig, tag) -> tuple[float, float]:
     """beta(G, F): solid angle of the tangent cone of F at G."""
-    sub = face_lattice(f.cone)
-    g_in_f = _locate(sub, g.cone)
-    t = tangent_cone(f.cone, g_in_f)
+    t = tangent_cone(f.cone, face_lattice(f.cone).face_of_cone(g.cone))
     return solid_angle_se(t, _sub_cfg(cfg, *tag))
 
 
 def _angle_pair_normal(f: Face, k: Face, cfg: SampleConfig, tag) -> tuple[float, float]:
     """gamma(F, K): solid angle of the normal face of K at F."""
-    sub = face_lattice(k.cone)
-    f_in_k = _locate(sub, f.cone)
-    n = normal_face(k.cone, f_in_k)
+    n = normal_face(k.cone, face_lattice(k.cone).face_of_cone(f.cone))
     return solid_angle_se(n.cone, _sub_cfg(cfg, *tag))
 
 
@@ -460,24 +398,46 @@ def _apply_rational_rotation(qm, c: Cone) -> Cone:
     return cone_from_generators(gens, lin, c.d)
 
 
-def _iv_with_se(c: Cone, cfg: SampleConfig, tag: int):
-    """Exact intrinsic volumes when recognized, else a Monte Carlo estimate."""
-    ex = exact_iv(c)
-    if ex is not None:
-        return [float(v) for v in ex.values], [0.0] * (c.d + 1)
-    est = estimate_iv(c, _sub_cfg(cfg, tag))
-    return list(est.values), list(est.std_errors)
-
-
-def _convolve_with_se(v1, se1, v2, se2):
-    n = len(v1) + len(v2) - 1
-    vals = [0.0] * n
-    vars_ = [0.0] * n
+def _product_iv(c: Cone, d_cone: Cone, cfg: SampleConfig, tags):
+    """Intrinsic volumes of C x D and their standard errors: the convolution
+    of each factor's exact volumes when a closed form is recognized, else of
+    its estimate at sub-seed tags[0] (C) or tags[1] (D)."""
+    factors = []
+    for cone, tag in zip((c, d_cone), tags):
+        ex = exact_iv(cone)
+        if ex is not None:
+            factors.append(([float(v) for v in ex.values], [0.0] * (cone.d + 1)))
+        else:
+            est = estimate_iv(cone, _sub_cfg(cfg, tag))
+            factors.append((est.values, est.std_errors))
+    (v1, se1), (v2, se2) = factors
+    vals = [0.0] * (len(v1) + len(v2) - 1)
+    vars_ = [0.0] * len(vals)
     for i, a in enumerate(v1):
         for j, b in enumerate(v2):
             vals[i + j] += a * b
             vars_[i + j] += (a * se2[j]) ** 2 + (b * se1[i]) ** 2
     return vals, [math.sqrt(x) for x in vars_]
+
+
+def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
+                   cfg: SampleConfig, rng_tag: int, tag: int) -> tuple[float, float]:
+    """Mean over Haar rotations Q of vhat_index(combine(C, QD)) and its
+    standard error.  Q is drawn from the stream (seed, rng_tag) and
+    rationalized so that QD is built exactly; rotation t is sampled with
+    cfg.n_samples draws at sub-seed (tag, t)."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, rng_tag)))
+    per_trial = []
+    for t in range(trials):
+        qm = rationalize_matrix(haar_rotation(c.d, rng))
+        cone = combine(c, _apply_rational_rotation(qm, d_cone))
+        if cone.dim == 0:  # intrinsic volumes of {0} are (1, 0, ..., 0)
+            per_trial.append(1.0 if index == 0 else 0.0)
+            continue
+        per_trial.append(estimate_iv(cone, _sub_cfg(cfg, tag, t)).values[index])
+    n = trials * cfg.n_samples
+    return (float(np.mean(per_trial)),
+            _floor_se(float(np.std(per_trial)) / math.sqrt(trials), n))
 
 
 def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
@@ -490,32 +450,17 @@ def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     if k < 0 or k > c.d:
         raise ValueError("index out of range")
     d = c.d
-    v1, se1 = _iv_with_se(c, cfg, tag=12)
-    v2, se2 = _iv_with_se(d_cone, cfg, tag=13)
-    conv, conv_se = _convolve_with_se(v1, se1, v2, se2)
+    conv, conv_se = _product_iv(c, d_cone, cfg, (12, 13))
     if k > 0:
         rhs = conv[k + d]
         rhs_se = conv_se[k + d]
     else:
         rhs = sum(conv[: d + 1])
         rhs_se = _quad(*conv_se[: d + 1])
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 14)))
-    per_trial = []
-    inner = cfg  # n_samples is the per-rotation inner budget
-    for t in range(trials):
-        qm = rationalize_matrix(haar_rotation(d, rng))
-        rotated = _apply_rational_rotation(qm, d_cone)
-        inter = intersect(c, rotated)
-        if inter.dim == 0:
-            per_trial.append(1.0 if k == 0 else 0.0)
-            continue
-        est = estimate_iv(inter, _sub_cfg(inner, 15, t))
-        per_trial.append(est.values[k])
-    lhs = float(np.mean(per_trial))
-    lhs_se = _floor_se(float(np.std(per_trial)) / math.sqrt(trials), trials * inner.n_samples)
-    se = _floor_se(_quad(lhs_se, rhs_se), trials * inner.n_samples)
+    lhs, lhs_se = _rotation_mean(c, d_cone, intersect, k, trials, cfg, 14, 15)
+    se = _floor_se(_quad(lhs_se, rhs_se), trials * cfg.n_samples)
     return _report_z(f"kinematic[k={k}]", lhs, rhs, se, cfg,
-                     notes=f"{trials} rotations x {inner.n_samples} samples",
+                     notes=f"{trials} rotations x {cfg.n_samples} samples",
                      n_trials=trials)
 
 
@@ -526,24 +471,10 @@ def verify_polar_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
     d = c.d
-    v1, se1 = _iv_with_se(c, cfg, tag=16)
-    v2, se2 = _iv_with_se(d_cone, cfg, tag=17)
-    conv, conv_se = _convolve_with_se(v1, se1, v2, se2)
-    rhs = conv[d - k]
-    rhs_se = conv_se[d - k]
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 18)))
-    per_trial = []
-    inner = cfg  # n_samples is the per-rotation inner budget
-    for t in range(trials):
-        qm = rationalize_matrix(haar_rotation(d, rng))
-        rotated = _apply_rational_rotation(qm, d_cone)
-        summed = minkowski_sum(c, rotated)
-        est = estimate_iv(summed, _sub_cfg(inner, 19, t))
-        per_trial.append(est.values[d - k])
-    lhs = float(np.mean(per_trial))
-    lhs_se = _floor_se(float(np.std(per_trial)) / math.sqrt(trials), trials * inner.n_samples)
-    se = _floor_se(_quad(lhs_se, rhs_se), trials * inner.n_samples)
-    return _report_z(f"polar-kinematic[k={k}]", lhs, rhs, se, cfg,
+    conv, conv_se = _product_iv(c, d_cone, cfg, (16, 17))
+    lhs, lhs_se = _rotation_mean(c, d_cone, minkowski_sum, d - k, trials, cfg, 18, 19)
+    se = _floor_se(_quad(lhs_se, conv_se[d - k]), trials * cfg.n_samples)
+    return _report_z(f"polar-kinematic[k={k}]", lhs, conv[d - k], se, cfg,
                      notes=f"{trials} rotations", n_trials=trials)
 
 
@@ -560,9 +491,7 @@ def verify_crofton_probability(c: Cone, d_cone: Cone, trials: int,
             seed=cfg.seed,
         )
     d = c.d
-    v1, se1 = _iv_with_se(c, cfg, tag=20)
-    v2, se2 = _iv_with_se(d_cone, cfg, tag=21)
-    conv, conv_se = _convolve_with_se(v1, se1, v2, se2)
+    conv, conv_se = _product_iv(c, d_cone, cfg, (20, 21))
     rhs = 2.0 * sum(conv[d + i] for i in range(1, d + 1) if i % 2 == 1)
     rhs_se = 2.0 * _quad(*[conv_se[d + i] for i in range(1, d + 1) if i % 2 == 1])
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 22)))
@@ -631,7 +560,7 @@ def verify_transverse_duality(c: Cone, d_cone: Cone) -> VerificationReport:
             checked += 1
             lhs = minkowski_sum(normal_face(c, f).cone, normal_face(d_cone, g).cone)
             fg = intersect(f.cone, g.cone)
-            rhs = normal_face(inter, _locate(fl_i, fg)).cone
+            rhs = normal_face(inter, fl_i.face_of_cone(fg)).cone
             if lhs != rhs:
                 failures += 1
     return VerificationReport(

@@ -290,10 +290,16 @@ def estimate_functionals(c: Cone, cfg: SampleConfig, funcs,
     same sample stream, so differences of the returned means can be given
     exact per-sample standard errors by registering the difference itself.
     """
-    kern = _kernel_for(c, lattice)
+    return _functional_stats(_kernel_for(c, lattice), cfg, funcs, stream=0)
+
+
+def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: int):
+    """The one loop from draws to functionals: {name: (mean, SE)} of each
+    fn(face_dim, |p|^2) over cfg.n_samples draws of substream `stream`, the
+    SE floored at 1/n."""
     sums = {k: 0.0 for k in funcs}
     sqs = {k: 0.0 for k in funcs}
-    for idx, pn2 in _sample_faces(kern, cfg, stream=0):
+    for idx, pn2 in _sample_faces(kern, cfg, stream):
         dims = kern.face_dims[idx]
         for k, fn in funcs.items():
             vals = fn(dims, pn2)
@@ -450,30 +456,15 @@ def statistical_dimension(v):
     return sum(k * x for k, x in enumerate(v.values))
 
 
-def statdim_functional_se(est: IVEstimate) -> float:
-    """Delta-method SE of sum_k k vhat_k from one multinomial estimate."""
-    mean = sum(k * x for k, x in enumerate(est.values))
-    second = sum(k * k * x for k, x in enumerate(est.values))
-    var = max(second - mean * mean, 0.0)
-    return max(math.sqrt(var / est.n_samples), 1.0 / est.n_samples)
-
-
 def statdim_mc(c: Cone, cfg: SampleConfig, lattice: FaceLattice | None = None):
     """Mean squared norm of the projection of a Gaussian vector onto C.
 
     Returns (estimate, standard error); drawn from a substream independent
     of estimate_iv so the two routes can be compared in quadrature.
     """
-    kern = _kernel_for(c, lattice)
-    total = 0.0
-    total_sq = 0.0
-    for _, pn2 in _sample_faces(kern, cfg, stream=1):
-        total += float(pn2.sum())
-        total_sq += float((pn2 * pn2).sum())
-    n = cfg.n_samples
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, max(math.sqrt(var / n), 1.0 / n)
+    stats = _functional_stats(_kernel_for(c, lattice), cfg,
+                              {"pn2": lambda dims, pn2: pn2}, stream=1)
+    return stats["pn2"]
 
 
 def grassmann_angles(v) -> tuple:

@@ -20,7 +20,6 @@ from conevol.arrangement import (
     level_char_poly,
     named_family,
     regions_j,
-    whitney_char_poly,
     zaslavsky_count,
 )
 from conevol.catalog import build_arrangements, build_cones, pointed_cones
@@ -41,6 +40,8 @@ from conevol.identities import (
     verify_steiner_mgf,
 )
 from conevol.volumes import SampleConfig, estimate_iv, exact_iv
+
+from arrangement_oracles import whitney_char_poly
 
 CONES = build_cones()
 ARRANGEMENTS = build_arrangements()

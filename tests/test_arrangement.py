@@ -11,7 +11,6 @@ from conevol.arrangement import (
     BiPolynomial,
     Polynomial,
     _region_sign_vector,
-    arr_product,
     arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -30,7 +29,6 @@ from conevol.arrangement import (
     regions_j,
     restriction,
     stirling2,
-    whitney_char_poly,
     zaslavsky_count,
 )
 from conevol.catalog import build_arrangements
@@ -42,6 +40,8 @@ from conevol.cone import (
     cone_from_inequalities,
 )
 from conevol.exactlin import dot, lp_strictly_feasible, subspace_from_rows, vec
+
+from arrangement_oracles import arr_product, whitney_char_poly
 
 BRAID3 = named_family("braid", 3)
 BC2 = named_family("bc", 2)

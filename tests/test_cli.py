@@ -70,6 +70,29 @@ def test_exit_code_two_on_bad_input(tmp_path):
     assert code == 2
     code, _, _ = run_cli("no-such-verb")
     assert code == 2
+    # entries the exact layer rejects: a float, a boolean, a zero denominator
+    for verb, obj in (
+        ("cone-info", {"d": 2, "inequalities": [[0.5, -1]]}),
+        ("cone-info", {"d": 2, "inequalities": [[True, -1]]}),
+        ("cone-info", {"d": 2, "inequalities": [["1/0", -1]]}),
+        ("arr-chi", {"d": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]}),
+    ):
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_cli(verb, str(bad))
+        assert code == 2 and "Traceback" not in err and out == "", (verb, obj)
+    # steiner-mgf outside its finite-variance domain t < ln 2 / 2
+    code, _, err = run_cli("verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
+                           "--t-grid", "12", "--samples", "2000")
+    assert code == 2 and "Traceback" not in err
+
+
+def test_verify_steiner_mgf_default_grid():
+    code, out, _ = run_cli(
+        "verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
+        "--samples", "2000", "--seed", "1",
+    )
+    assert code == 0
+    assert json.loads(out)[0]["status"] == "pass"
 
 
 def test_byte_identical_reports(tmp_path):

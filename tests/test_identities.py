@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from conevol.arrangement import arrangement, named_family
+from conevol.catalog import build_cones
 from conevol.cone import (
     cone_from_generators,
     cone_from_inequalities,
@@ -31,7 +33,7 @@ from conevol.identities import (
     verify_transverse_duality,
     verify_zaslavsky,
 )
-from conevol.volumes import SampleConfig
+from conevol.volumes import SampleConfig, derive_seed, estimate_iv
 
 ORTHANT2 = cone_from_generators([[1, 0], [0, 1]], [], 2)
 ORTHANT3 = cone_from_generators([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [], 3)
@@ -87,6 +89,39 @@ def test_face_alternation():
         verify_face_alternation(ORTHANT2, 5, CFG)
 
 
+@pytest.mark.parametrize("name", ["orthant-3d", "square-cone-3d", "wedge-45", "plane-3d"])
+def test_face_sum_checks_match_reference(name):
+    # the four face-sum checks are one relation,
+    # sum_k (-1)^k phi_k v_k(C) = sum_F (-1)^dim F sum_k phi_k v_k(F),
+    # with face i of C sampled at sub-seed (tag, i)
+    c = dict(build_cones())[name]
+    cfg = SampleConfig(n_samples=4000, seed=31)
+
+    def reference(phi, tag):
+        lhs = rhs = 0.0
+        for i, f in enumerate(face_lattice(c).faces):
+            e = estimate_iv(f.cone, replace(cfg, seed=derive_seed(cfg.seed, tag, i)))
+            rhs += (-1) ** f.dim * sum(p * v for p, v in zip(phi, e.values))
+            if f.cone == c:
+                lhs = sum((-1) ** k * p * v for k, (p, v) in enumerate(zip(phi, e.values)))
+        return lhs, rhs
+
+    d = c.d
+    checks = [(verify_face_alternation(c, k, cfg), [int(i == k) for i in range(d + 1)], 3)
+              for k in range(d + 1)]
+    checks.append((verify_statdim_alternation(c, cfg), list(range(d + 1)), 4))
+    checks += [(verify_genfun_alternation(c, t, cfg), [math.exp(t * k) for k in range(d + 1)], 5)
+               for t in (-1.0, 0.3)]
+    r = verify_sommerville(c, cfg)
+    if c.lineality_dim:
+        assert r.passed and r.lhs == r.rhs == 0.0 and "lineality" in r.notes
+    else:
+        checks.append((r, [1] + [0] * d, 1))
+    for r, phi, tag in checks:
+        assert (r.lhs, r.rhs) == reference(phi, tag), r.identity
+        assert r.passed, r.identity
+
+
 def test_gauss_bonnet():
     assert verify_gauss_bonnet(ORTHANT3, CFG).passed
     r = verify_gauss_bonnet(cone_from_generators([], [[1, 0, 0]], 3), CFG)
@@ -120,6 +155,11 @@ def test_steiner_mgf_orthants():
 def test_steiner_mgf_domain_error():
     with pytest.raises(ValueError):
         verify_steiner_mgf(ORTHANT2, [float("inf")], CFG)
+    # s(0.35) just exceeds 1/4: E[e^{2s|P g|^2}] is infinite there
+    with pytest.raises(ValueError):
+        verify_steiner_mgf(ORTHANT2, [0.35], CFG)
+    with pytest.raises(ValueError):
+        verify_steiner_mgf(ORTHANT2, [float("nan")], CFG)
 
 
 def test_statdim_consistency():
