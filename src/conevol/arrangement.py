@@ -5,10 +5,11 @@ Hyperplanes are stored as primitive normals with positive leading entry
 by breadth-first closure under single-hyperplane intersection; the Möbius
 function by the standard recursion; characteristic polynomials carry exact
 integer coefficients.  Chambers are enumerated by incremental insertion on
-V-representations with the double-description step `cone._dd_step`, the
-same step that converts cones between representations: inserting a
+V-representations with the double-description step that converts cones
+between representations: its lineality half `cone._lin_cut` runs once per
+hyperplane, its ray half `cone._dd_step` once per chamber.  Inserting a
 hyperplane splits exactly the chambers with generators strictly on both
-sides, decided by exact signs.  Regions of dimension j are the chambers of
+sides, decided by exact signs on integer vectors.  Regions of dimension j are the chambers of
 the restrictions to j-flats, lifted back to ambient coordinates.
 """
 
@@ -19,20 +20,31 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import Cone, InvariantViolation, _dd_step, _from_vrep, _lift
+from .cone import (
+    Cone,
+    InvariantViolation,
+    _dd_step,
+    _from_vrep,
+    _lift,
+    _lin_cut,
+    _unit_echelon,
+)
 from .exactlin import (
+    Echelon,
+    IntVec,
     Mat,
     Subspace,
-    Vec,
-    dot,
+    _echelon,
+    _idot,
+    _int_mat,
+    _int_vec,
+    _rref_rows,
     full_space,
     is_zero,
     kernel,
     mat,
     rref,
     sign_canonical,
-    subspace_from_rows,
-    unit_vec,
 )
 
 
@@ -196,21 +208,25 @@ class IntersectionLattice:
                     found[ns.basis] = ns
                     work.append((nr, ns))
         subs = sorted(found.values(), key=lambda s: (-s.dim, s.basis))
+        normals = [_int_vec(n) for n in arr.normals]
         flats = []
         for s in subs:
+            basis = [_int_vec(b) for b in s.basis]
             defining = frozenset(
                 i
-                for i, n in enumerate(arr.normals)
-                if all(dot(b, n) == 0 for b in s.basis)
+                for i, n in enumerate(normals)
+                if not any(_idot(b, n) for b in basis)
             )
             flats.append(Flat(s, defining))
         self.flats: tuple[Flat, ...] = tuple(flats)
         n = len(flats)
+        # a flat is the intersection of the hyperplanes containing it, so
+        # flat_y lies in flat_x iff every hyperplane defining x defines y
         self._below = []  # _below[x] = bitmask of y with flat_y subseteq flat_x
-        for x in range(n):
+        for fx in flats:
             bits = 0
-            for y in range(n):
-                if self._subset(y, x):
+            for y, fy in enumerate(flats):
+                if fx.defining_set <= fy.defining_set:
                     bits |= 1 << y
             self._below.append(bits)
         self.mobius: dict[tuple[int, int], int] = {}
@@ -226,12 +242,6 @@ class IntersectionLattice:
                     if z != y and self._below[z] >> y & 1:
                         s += self.mobius.get((x, z), 0)
                 self.mobius[(x, y)] = -s
-
-    def _subset(self, y: int, x: int) -> bool:
-        fy, fx = self.flats[y].subspace, self.flats[x].subspace
-        if fy.dim > fx.dim:
-            return False
-        return all(fx.contains(b) for b in fy.basis) if fy.dim else True
 
     def leq(self, x: int, y: int) -> bool:
         """x precedes y in the reverse-inclusion order (flat_y inside flat_x)."""
@@ -295,11 +305,11 @@ def restriction(a: Arrangement, flat) -> Arrangement:
     polynomial outputs do not depend on this choice.
     """
     sub = flat.subspace if isinstance(flat, Flat) else flat
-    basis = sub.basis
+    basis = _int_mat(sub.basis)
     normals = []
-    for nrm in a.normals:
-        proj = tuple(dot(row, nrm) for row in basis)
-        if not is_zero(proj):
+    for nrm in map(_int_vec, a.normals):
+        proj = [_idot(row, nrm) for row in basis]
+        if any(proj):
             normals.append(proj)
     return arrangement(normals, sub.dim)
 
@@ -312,25 +322,26 @@ def _ambient_flat(d: int) -> Flat:
     return Flat(full_space(d), frozenset())
 
 
-def _chamber_rays(a: Arrangement) -> tuple[Subspace, list[tuple[list[Vec], tuple[int, ...]]]]:
+def _chamber_rays(a: Arrangement) -> tuple[Echelon, list[tuple[list[IntVec], tuple[int, ...]]]]:
     """Chambers as raw V-representations: (common lineality, [(rays, signs)]).
 
-    Rays are not canonicalized; each chamber is the cone they span plus the
-    lineality subspace shared by every chamber.
+    Rays are integer vectors, not canonicalized; each chamber is the cone
+    they span plus the lineality echelon shared by every chamber.  The
+    lineality half of each insertion is computed once for all chambers.
     """
-    lin_rows: Mat = tuple(unit_vec(i, a.d) for i in range(a.d))
+    lin = _unit_echelon(a.d)
     chams: list[tuple[list, tuple[int, ...]]] = [([], ())]
-    for t, nrm in enumerate(a.normals):
+    for t, nrm in enumerate(map(_int_vec, a.normals)):
+        lin, cut = _lin_cut(lin, nrm)
         next_chams = []
         for rays, signs in chams:
-            new_lin, plus, minus = _dd_step(rays, lin_rows, nrm, t)
+            plus, minus = _dd_step(rays, lin, cut, nrm, t)
             # a half is a new chamber iff it has a ray strictly off the hyperplane
             for side, sign in ((plus, 1), (minus, -1)):
                 if any(not z >> t & 1 for _, z in side):
                     next_chams.append((side, signs + (sign,)))
-        lin_rows = new_lin
         chams = next_chams
-    return Subspace(a.d, lin_rows), [([r for r, _ in rays], signs) for rays, signs in chams]
+    return lin, [([r for r, _ in rays], signs) for rays, signs in chams]
 
 
 def chambers(a: Arrangement) -> list[Region]:
@@ -338,44 +349,54 @@ def chambers(a: Arrangement) -> list[Region]:
 
     Incremental insertion: each chamber carries its extreme rays (with
     on-hyperplane bitmasks) modulo the running common lineality, and each
-    hyperplane is inserted by the double-description step `cone._dd_step`
-    that also converts cones between representations.  A hyperplane splits
-    a chamber iff both halves have a ray strictly off it.
+    hyperplane is inserted by the double-description step
+    (`cone._lin_cut`, then `cone._dd_step` per chamber) that also converts
+    cones between representations.  A hyperplane splits a chamber iff both
+    halves have a ray strictly off it.
     """
-    lin, chams = _chamber_rays(a)
+    lin_ech, chams = _chamber_rays(a)
+    lin = Subspace(a.d, _rref_rows(lin_ech))
     flat0 = _ambient_flat(a.d)
     return [Region(signs, _from_vrep(rays, lin, a.d), flat0) for rays, signs in chams]
 
 
-def _region_sign_vector(a: Arrangement, cone: Cone) -> tuple[int, ...]:
+def _region_sign_vector(normals, cone: Cone) -> tuple[int, ...]:
+    """Signs of the cone against each (integer) normal, 0 = contained."""
+    gens = [_int_vec(g) for g in cone.generators]
+    lin = [_int_vec(v) for v in cone.lineality.basis]
     signs = []
-    for nrm in a.normals:
-        if any(dot(nrm, v) != 0 for v in cone.lineality.basis):
+    for nrm in normals:
+        if any(_idot(nrm, v) for v in lin):
             raise InvariantViolation("region lineality crosses a hyperplane")
-        found = {1 if s > 0 else -1 for s in (dot(nrm, g) for g in cone.generators) if s != 0}
+        found = {s > 0 for s in (_idot(nrm, g) for g in gens) if s}
         if len(found) > 1:
             raise InvariantViolation("region straddles a hyperplane")
-        signs.append(found.pop() if found else 0)
+        signs.append((1 if found.pop() else -1) if found else 0)
     return tuple(signs)
 
 
 def regions_j(a: Arrangement, j: int,
               lattice: IntersectionLattice | None = None) -> list[Region]:
     """All j-dimensional faces of chambers: chambers of restrictions to
-    j-flats, with their rays mapped back to ambient coordinates."""
+    j-flats, with their rays mapped back to ambient coordinates.
+
+    The flat's basis is scaled to integers by one common positive
+    denominator, so every lifted ray is a positive multiple of its rational
+    lift."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
     lat = lattice or intersection_lattice(a)
+    normals = [_int_vec(n) for n in a.normals]
     out = []
     for flat in lat.flats:
         if flat.dim != j:
             continue
-        basis = flat.subspace.basis
+        basis = _int_mat(flat.subspace.basis)
         flat_lin, chams = _chamber_rays(restriction(a, flat))
-        lin = subspace_from_rows([_lift(v, basis) for v in flat_lin.basis], a.d)
+        lin = Subspace(a.d, _rref_rows(_echelon(_lift(v, basis) for _, v in flat_lin)))
         for rays, _ in chams:
             cone = _from_vrep([_lift(r, basis) for r in rays], lin, a.d)
-            out.append(Region(_region_sign_vector(a, cone), cone, flat))
+            out.append(Region(_region_sign_vector(normals, cone), cone, flat))
     return out
 
 

@@ -11,39 +11,54 @@ Cones are stored with both representations in canonical form:
 
 Equality of cones is therefore equality of canonical data.  Conversion
 between the representations is done by the double description method
-(Fukuda–Prodon), processing one halfspace at a time.  Each step is
-`_dd_step`: it splits off the lineality direction the hyperplane crosses,
-partitions the rays into +/0/− by sign, and joins adjacent +/− pairs,
-where the combinatorial adjacency test is applied modulo the current
-lineality space, which keeps the working cone pointed in the quotient.
-`_dd_step` returns both closed halves of the cut; conversion keeps the
-<= 0 half, and chamber enumeration in `arrangement` keeps every half that
-is not flat on the hyperplane.
+(Fukuda–Prodon), processing one halfspace at a time.  A step has two
+halves.  `_lin_cut` splits off the lineality direction the hyperplane
+crosses; it depends only on the hyperplane, so chamber enumeration computes
+it once for all chambers.  `_dd_step` then partitions the rays into +/0/−
+by sign and joins adjacent +/− pairs, where the combinatorial adjacency
+test is applied modulo the current lineality space, which keeps the
+working cone pointed in the quotient.  `_dd_step` returns both closed
+halves of the cut; conversion keeps the <= 0 half, and chamber enumeration
+in `arrangement` keeps every half that is not flat on the hyperplane.
+
+The steps run on Python ``int`` vectors (see `exactlin`).  Invariant: every
+integer vector is a positive multiple of the rational vector the same
+algorithm would hold over ``Fraction``, and every lineality row a positive
+multiple of its RREF row.  Signs, zero sets, adjacency decisions and
+primitive representatives are therefore unchanged, and so is every ray
+order and every output.  The ``Fraction`` fields of `Cone` are formed in
+`_dd` and `_from_vrep` only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from .exactlin import (
+    Echelon,
+    IntVec,
     Mat,
     Subspace,
-    Vec,
+    _echelon,
+    _idot,
+    _int_mat,
+    _int_vec,
+    _ireduce,
+    _prim,
+    _rational,
+    _rref_rows,
     dot,
     is_zero,
     kernel,
     lp_strictly_feasible,
     mat,
-    primitive,
     project_off,
-    rref,
     subspace_from_rows,
     subspace_intersection,
-    unit_vec,
-    vadd,
     vec,
-    vscale,
     zero_subspace,
 )
 
@@ -114,61 +129,72 @@ class FaceLattice:
         raise ValueError("cone is not a face of the lattice")
 
 
-def _canon_rays(rays, lin: Subspace) -> Mat:
+def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
     out = []
     seen = set()
     for r in rays:
-        rr = primitive(lin.reduce(r))
-        if not is_zero(rr) and rr not in seen:
+        rr = _prim(_ireduce(r, lin))
+        if any(rr) and rr not in seen:
             seen.add(rr)
             out.append(rr)
-    return tuple(sorted(out))
+    return sorted(out)
 
 
-def _dd_step(rays, lin_rows, a: Vec, t: int):
-    """One double-description step: cut lin_rows + cone(rays) by <a, x> = 0.
+def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: IntVec) -> Sequence[int]:
+    """Project r along u onto <a, x> = 0, where s0 = <a, u> > 0: the positive
+    multiple s0 r - <a, r> u of r - (<a, r> / s0) u."""
+    s = _idot(a, r)
+    return [s0 * x - s * y for x, y in zip(r, u)] if s else r
 
-    Rays are (vector, zero-set bitmask) pairs, taken modulo the RREF
-    lineality basis lin_rows.  Returns (lin_rows, plus, minus): the new
-    lineality basis and the ray lists of the closed halves <a, x> >= 0 and
-    <a, x> <= 0.  Bit t is set exactly on the rays lying on the hyperplane,
-    so a half whose rays all carry bit t lies inside it.
+
+def _lin_cut(lin: Echelon, a: IntVec):
+    """The lineality half of a DD step, shared by every cone cut by <a, x> = 0.
+
+    Returns (lineality, cut).  cut is None when the lineality lies inside
+    the hyperplane.  Otherwise a lineality direction u with <a, u> > 0
+    crosses it: the new lineality is the old one projected along u onto the
+    hyperplane, and cut = (u, <a, u>, ray) with ray the image of u modulo the
+    new lineality, which becomes a ray on the + side and, negated, on the -.
     """
-    hit = next((i for i, row in enumerate(lin_rows) if dot(a, row) != 0), None)
-    if hit is not None:
-        # a lineality direction v0 crosses the hyperplane: project the rest
-        # of the cone along v0 onto it; ±v0 becomes one ray on each side
-        v0 = lin_rows[hit]
-        s0 = dot(a, v0)
-        new_lin = []
-        for i, row in enumerate(lin_rows):
-            if i == hit:
-                continue
-            s = dot(a, row)
-            new_lin.append(vadd(row, vscale(v0, -s / s0)) if s != 0 else row)
-        lin_rows = rref(new_lin)
-        lin_sub = Subspace(len(a), lin_rows)
-        on = []
-        for r, z in rays:
-            s = dot(a, r)
-            rr = vadd(r, vscale(v0, -s / s0)) if s != 0 else r
-            on.append((primitive(lin_sub.reduce(rr)), z | (1 << t)))
-        up = primitive(lin_sub.reduce(v0))
+    for i, (_, v) in enumerate(lin):
+        s0 = _idot(a, v)
+        if s0:
+            break
+    else:
+        return lin, None
+    u = v if s0 > 0 else tuple(-x for x in v)
+    s0 = abs(s0)
+    new_lin = _echelon(_onto(row, u, s0, a) for k, (_, row) in enumerate(lin) if k != i)
+    return new_lin, (u, s0, _prim(_ireduce(u, new_lin)))
+
+
+def _dd_step(rays, lin: Echelon, cut, a: IntVec, t: int):
+    """The ray half of a DD step: cut lin + cone(rays) by <a, x> = 0.
+
+    Rays are (vector, zero-set bitmask) pairs, taken modulo lin, the
+    lineality that `_lin_cut` returned for the same hyperplane along with
+    cut.  Returns (plus, minus): the ray lists of the closed halves
+    <a, x> >= 0 and <a, x> <= 0.  Bit t is set exactly on the rays lying
+    on the hyperplane, so a half whose rays all carry bit t lies inside it.
+    """
+    bit = 1 << t
+    if cut is not None:
+        # every ray is moved along u onto the hyperplane; ±u, modulo the new
+        # lineality, is one new ray on each side
+        u, s0, up = cut
+        on = [(_prim(_ireduce(_onto(r, u, s0, a), lin)), z | bit) for r, z in rays]
         down = tuple(-x for x in up)
-        if s0 < 0:
-            up, down = down, up
-        prev = (1 << t) - 1
-        return lin_rows, on + [(up, prev)], on + [(down, prev)]
+        return on + [(up, bit - 1)], on + [(down, bit - 1)]
     # lineality is inside the hyperplane; split the pointed part
     plus, zero, minus = [], [], []
     for idx, (r, z) in enumerate(rays):
-        s = dot(a, r)
+        s = _idot(a, r)
         if s > 0:
             plus.append((idx, r, z, s))
         elif s < 0:
             minus.append((idx, r, z, s))
         else:
-            zero.append((r, z | (1 << t)))
+            zero.append((r, z | bit))
     # a new ray lies on the hyperplane: it can only repeat a zero or new ray
     seen = {r for r, _ in zero}
     for ip, rp, zp, sp in plus:
@@ -180,64 +206,65 @@ def _dd_step(rays, lin_rows, a: Vec, t: int):
                     adjacent = False
                     break
             if adjacent:
-                w = primitive(vadd(vscale(rm, sp), vscale(rp, -sm)))
+                w = _prim([sp * x - sm * y for x, y in zip(rm, rp)])
                 if w not in seen:
                     seen.add(w)
-                    zero.append((w, common | (1 << t)))
+                    zero.append((w, common | bit))
     return (
-        lin_rows,
         [(r, z) for _, r, z, _ in plus] + zero,
         [(r, z) for _, r, z, _ in minus] + zero,
     )
 
 
+def _unit_echelon(m: int) -> Echelon:
+    return [(i, tuple(int(j == i) for j in range(m))) for i in range(m)]
+
+
 def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
     """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}.
 
-    Returns (extreme rays, lineality subspace), both canonicalized.
+    Returns (extreme rays, lineality subspace), both canonicalized.  The
+    basis of {eq_rows.x = 0} is scaled to integers by one common positive
+    denominator, so coordinates in it change by a global positive scalar
+    only.
     """
     amb = kernel(eq_rows, d)
     if amb.dim == 0:
         return (), zero_subspace(d)
-    basis = amb.basis
-    m = amb.dim
+    basis = _int_mat(amb.basis)
     cons = []
     seen = set()
     for a in ineqs:
-        ap = primitive(tuple(dot(row, a) for row in basis))
-        if not is_zero(ap) and ap not in seen:
+        a = _int_vec(a)
+        ap = _prim([_idot(row, a) for row in basis])
+        if any(ap) and ap not in seen:
             seen.add(ap)
             cons.append(ap)
 
-    lin_rows: Mat = tuple(unit_vec(i, m) for i in range(m))
-    rays: list[tuple[Vec, int]] = []
+    lin = _unit_echelon(amb.dim)
+    rays: list[tuple[IntVec, int]] = []
     for t, a in enumerate(cons):
-        lin_rows, _, rays = _dd_step(rays, lin_rows, a, t)
+        lin, cut = _lin_cut(lin, a)
+        _, rays = _dd_step(rays, lin, cut, a, t)
 
-    lin_ambient = subspace_from_rows(
-        [_lift(row, basis) for row in lin_rows], d
-    )
-    lifted = [_lift(r, basis) for r, _ in rays]
-    return _canon_rays(lifted, lin_ambient), lin_ambient
+    lin_ambient = _echelon(_lift(row, basis) for _, row in lin)
+    rays = _canon_rays([_lift(r, basis) for r, _ in rays], lin_ambient)
+    return _rational(rays), Subspace(d, _rref_rows(lin_ambient))
 
 
-def _lift(y: Vec, basis: Mat) -> Vec:
+def _lift(y, basis) -> tuple:
     """Map coordinates in a subspace basis back to ambient space."""
-    out = [Fraction(0)] * len(basis[0])
-    for yi, row in zip(y, basis):
-        if yi != 0:
-            out = [a + yi * b for a, b in zip(out, row)]
-    return tuple(out)
+    return tuple(sum(map(mul, y, col)) for col in zip(*basis))
 
 
 def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
-    gens = _canon_rays(rays, lin)
+    gens = _canon_rays(map(_int_vec, rays), _echelon(map(_int_vec, lin.basis)))
     prays, plin = _dd(gens, lin.basis, d)
     return Cone(
         d=d,
         inequalities=prays,
         equalities=plin.basis,
-        generators=gens,
+        generators=_rational(gens),
         lineality=lin,
         dim=d - plin.dim,
         lineality_dim=lin.dim,
@@ -312,11 +339,12 @@ def face_lattice(c: Cone) -> FaceLattice:
     """
     gens = c.generators
     n = len(gens)
+    int_gens = [_int_vec(r) for r in gens]
     facet_masks = []
-    for a in c.inequalities:
+    for a in map(_int_vec, c.inequalities):
         mask = 0
-        for i, r in enumerate(gens):
-            if dot(a, r) == 0:
+        for i, r in enumerate(int_gens):
+            if not _idot(a, r):
                 mask |= 1 << i
         facet_masks.append(mask)
     full = (1 << n) - 1

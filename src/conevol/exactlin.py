@@ -1,22 +1,34 @@
 """Exact rational linear algebra and LP feasibility primitives.
 
-All combinatorial layers of the package run over arbitrary-precision
-rationals (``fractions.Fraction``); floating point enters only in the Monte
-Carlo modules.  Vectors are tuples of Fractions, matrices are tuples of row
-vectors.  Subspaces are kept canonical: the basis is the unique reduced row
-echelon form of the row space, so subspace equality is basis equality and
+All combinatorial layers of the package run over exact arithmetic; floating
+point enters only in the Monte Carlo modules.  At the API, vectors are
+tuples of ``fractions.Fraction`` and matrices are tuples of row vectors.
+Subspaces are kept canonical: the basis is the unique reduced row echelon
+form of the row space, so subspace equality is basis equality and
 subspaces can be used as dictionary keys.
+
+Inside, the elimination behind `rref` and `kernel`, the double description
+steps of `cone` and the chamber insertion of `arrangement` run on coprime
+Python ``int`` vectors: a rational vector is scaled by the lcm of its
+denominators, and a basis is kept as an echelon of integer rows that are
+positive multiples of the RREF rows (fraction-free Gauss–Jordan, each new
+row divided by its content).  Positive scaling changes no sign and no
+direction, and ``Fraction`` values are formed only where results leave
+these routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IntVec = tuple[int, ...]
+Echelon = list[tuple[int, IntVec]]  # (pivot column, row) pairs by pivot
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,14 +72,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(u: Vec, s: Fraction) -> Vec:
-    return tuple(a * s for a in u)
-
-
 def is_zero(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
@@ -82,16 +86,7 @@ def primitive(v: Sequence[Fraction]) -> Vec:
     Keeps the direction (rays must not be flipped); the zero vector maps to
     itself.
     """
-    denom = 1
-    for a in v:
-        denom = denom * a.denominator // gcd(denom, a.denominator)
-    ints = [int(a * denom) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(Fraction(a, g) for a in ints)
+    return tuple(map(Fraction, _prim(_int_vec(v))))
 
 
 def sign_canonical(v: Sequence[Fraction]) -> Vec:
@@ -114,45 +109,92 @@ def rref(rows: Iterable[Sequence]) -> Mat:
 
     The row space is preserved, so rref is a canonical form for it.
     """
-    work = [list(vec(r)) for r in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != 0:
-                pr = r
-                break
-        if pr is None:
-            continue
-        work[pivot_row], work[pr] = work[pr], work[pivot_row]
-        pv = work[pivot_row][col]
-        work[pivot_row] = [x / pv for x in work[pivot_row]]
-        piv = work[pivot_row]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], piv)]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row])
+    return _rref_rows(_echelon(_int_vec(r) for r in rows))
 
 
 def rank(rows: Iterable[Sequence]) -> int:
     return len(rref(rows))
 
 
-def pivot_columns(rref_rows: Mat) -> tuple[int, ...]:
-    cols = []
-    for row in rref_rows:
-        for j, a in enumerate(row):
-            if a != 0:
-                cols.append(j)
-                break
-    return tuple(cols)
+# ---------------------------------------------------------------------------
+# The integer core: coprime int vectors, positive multiples of rational ones.
+
+
+def _int_vec(v: Sequence) -> list[int]:
+    """v scaled by the lcm of its denominators: a positive integer multiple."""
+    xs = [x if type(x) is int or type(x) is Fraction else rat(x) for x in v]
+    den = lcm(*[x.denominator for x in xs])
+    if den == 1:
+        return [x.numerator for x in xs]
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _int_mat(rows: Mat) -> list[list[int]]:
+    """Rational rows scaled by one common positive denominator."""
+    den = lcm(*[x.denominator for r in rows for x in r])
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+
+
+def _prim(v: Sequence[int]) -> IntVec:
+    """v divided by the gcd of its entries; the zero vector stays zero."""
+    g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple(x // g for x in v)
+
+
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _ireduce(w: Sequence[int], ech: Echelon) -> list[int]:
+    """A positive multiple of w reduced modulo the echelon's row space.
+
+    Each step is w <- c w - w[p] row with pivot entry c > 0; the result is
+    zero at every pivot column, and zero iff w lies in the row space.
+    """
+    w = list(w)
+    for p, row in ech:
+        f = w[p]
+        if f:
+            c = row[p]
+            w = [c * x - f * y for x, y in zip(w, row)]
+    return w
+
+
+def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
+    """Fraction-free Gauss–Jordan elimination of integer rows.
+
+    Returns (pivot, row) pairs sorted by pivot: each row is coprime, a
+    positive multiple of the matching RREF row, and zero at every other
+    pivot column.  Each new row is reduced, divided by its content, and then
+    cleared from the rows before it.
+    """
+    ech: Echelon = []
+    for r in rows:
+        w = _ireduce(r, ech)
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is None:
+            continue
+        w = _prim(w if w[p] > 0 else [-x for x in w])
+        c = w[p]
+        for i, (q, row) in enumerate(ech):
+            f = row[p]
+            if f:
+                ech[i] = (q, _prim([c * x - f * y for x, y in zip(row, w)]))
+        ech.append((p, w))
+    ech.sort()
+    return ech
+
+
+def _rref_rows(ech: Echelon) -> Mat:
+    """The RREF rows of an echelon: each row divided by its pivot entry."""
+    return tuple(
+        tuple(map(Fraction, row)) if row[p] == 1 else tuple(Fraction(x, row[p]) for x in row)
+        for p, row in ech
+    )
+
+
+def _rational(rows: Iterable[Sequence[int]]) -> Mat:
+    return tuple(tuple(map(Fraction, r)) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -201,20 +243,22 @@ def zero_subspace(dim: int) -> Subspace:
 
 def kernel(rows: Iterable[Sequence], dim: int) -> Subspace:
     """The subspace {x : rows . x = 0} in R^dim."""
-    r = rref(rows)
-    if r and len(r[0]) != dim:
+    ech = _echelon(_int_vec(r) for r in rows)
+    if ech and len(ech[0][1]) != dim:
         raise ValueError("row width does not match ambient dimension")
-    pivots = pivot_columns(r)
-    pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
+    # x_f = e_f - sum_i (row_i[f] / c_i) e_{p_i}, scaled by m = lcm(c_i)
+    m = lcm(*(row[p] for p, row in ech))
+    pivots = {p for p, _ in ech}
     basis = []
-    for f in free:
-        x = [ZERO] * dim
-        x[f] = ONE
-        for i, p in enumerate(pivots):
-            x[p] = -r[i][f]
-        basis.append(tuple(x))
-    return Subspace(dim, rref(basis))
+    for f in range(dim):
+        if f in pivots:
+            continue
+        x = [0] * dim
+        x[f] = m
+        for p, row in ech:
+            x[p] = -row[f] * (m // row[p])
+        basis.append(x)
+    return Subspace(dim, _rref_rows(_echelon(basis)))
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:

@@ -269,11 +269,21 @@ def test_region_sign_vector_rejects_straddling():
     a = arrangement([[1, 0]], 2)
     # dot products 2 and -1 sum to a nonzero value but have mixed signs
     with pytest.raises(InvariantViolation):
-        _region_sign_vector(a, cone_from_generators([[2, 1], [-1, 1]], [], 2))
+        _region_sign_vector(a.normals, cone_from_generators([[2, 1], [-1, 1]], [], 2))
     with pytest.raises(InvariantViolation):
-        _region_sign_vector(a, cone_from_generators([[0, 1]], [[1, 0]], 2))
-    assert _region_sign_vector(a, cone_from_generators([[2, 1], [1, -1]], [], 2)) == (1,)
-    assert _region_sign_vector(a, cone_from_generators([], [[0, 1]], 2)) == (0,)
+        _region_sign_vector(a.normals, cone_from_generators([[0, 1]], [[1, 0]], 2))
+    assert _region_sign_vector(a.normals, cone_from_generators([[2, 1], [1, -1]], [], 2)) == (1,)
+    assert _region_sign_vector(a.normals, cone_from_generators([], [[0, 1]], 2)) == (0,)
+
+
+def test_region_fields_are_fractions():
+    for name, a in build_arrangements():
+        lat = intersection_lattice(a)
+        cones = [r.cone for r in chambers(a)]
+        cones += [r.cone for j in range(a.d + 1) for r in regions_j(a, j, lat)]
+        for c in cones:
+            rows = (c.inequalities, c.generators, c.equalities, c.lineality.basis)
+            assert all(type(x) is F for m in rows for row in m for x in row), name
 
 
 def test_zaslavsky_all_catalog():

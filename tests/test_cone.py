@@ -3,7 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exact_oracles as oracle
 from conevol.catalog import build_cones
 from conevol.cone import (
     InvariantViolation,
@@ -290,6 +293,43 @@ def test_fuzz_cone_invariants():
             nf = normal_face(c, f)
             assert nf.dim == d - f.dim
             assert normal_face(polar(c), nf).cone == f.cone
+
+
+def _assert_fraction_fields(c, name=None):
+    for rows in (c.inequalities, c.generators, c.equalities, c.lineality.basis):
+        assert all(type(x) is F for row in rows for x in row), name
+
+
+def test_catalog_fields_are_fractions():
+    for name, c in build_cones():
+        for cone in [c, polar(c)] + [f.cone for f in face_lattice(c).faces]:
+            _assert_fraction_fields(cone, name)
+
+
+@st.composite
+def _small_cone_inputs(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+    return d, draw(st.lists(row.filter(any), max_size=6)), draw(st.lists(row, max_size=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_cone_inputs())
+def test_constructors_match_rational_oracle(case):
+    # the second list serves as equalities of the H-representation and as
+    # lineality of the V-representation
+    d, rows, extra = case
+    h = cone_from_inequalities(rows, d, extra)
+    assert h == oracle.cone_from_inequalities(rows, d, extra)
+    v = cone_from_generators(rows, extra, d)
+    assert v == oracle.cone_from_generators(rows, extra, d)
+    for c in (h, v):
+        _assert_fraction_fields(c)
+        assert polar(polar(c)) == c
+        assert cone_from_inequalities(c.inequalities, d, c.equalities) == c
+        assert cone_from_generators(c.generators, c.lineality.basis, d) == c
+        fl = face_lattice(c)
+        assert fl.euler_sum == ((-1) ** c.dim if c.is_subspace else 0)
 
 
 def test_json_round_trip():

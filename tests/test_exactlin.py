@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import exact_oracles as oracle
 from conevol.exactlin import (
     Subspace,
     dot,
@@ -47,6 +50,40 @@ def test_rref_idempotent_random():
         rows = [r[:width] + [F(0)] * (width - len(r)) for r in rows]
         r = rref(rows)
         assert rref(r) == r
+
+
+def test_rref_returns_fractions():
+    for rows in ([[2, 4, 1], [1, 2, 3]],
+                 [[F(1, 2), F(-3, 4)], [F(2), F(5, 6)]],
+                 [["1/2", "3"], ["-2/3", "4/5"]]):
+        out = rref(rows)
+        assert out and all(type(x) is F for row in out for x in row), rows
+
+
+_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Random rational rows plus rational combinations of them."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(_rationals, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if rows else 0):
+        coeffs = draw(st.lists(_rationals, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(n)])
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_matrices())
+def test_rref_and_kernel_match_rational_oracle(case):
+    n, rows = case
+    got = rref(rows)
+    assert got == oracle.rref(rows)
+    assert all(type(x) is F for row in got for x in row)
+    assert kernel(rows, n) == oracle.kernel(rows, n)
 
 
 def test_kernel_zero_map():
