@@ -25,6 +25,7 @@ from .cone import (
     InvariantViolation,
     _dd_step,
     _from_vrep,
+    _json_dim,
     _lift,
     _lin_cut,
     _unit_echelon,
@@ -615,7 +616,7 @@ def arrangement_to_json(a: Arrangement) -> dict:
 def arrangement_from_json(obj: dict) -> Arrangement:
     if "d" not in obj or "normals" not in obj:
         raise ValueError("arrangement JSON requires 'd' and 'normals'")
-    return arrangement(mat(obj["normals"]), int(obj["d"]))
+    return arrangement(mat(obj["normals"]), _json_dim(obj["d"]))
 
 
 def parse_family_spec(spec: str) -> Arrangement:

@@ -9,7 +9,12 @@ Cones are stored with both representations in canonical form:
   the polar cone, canonicalized the same way modulo lin(C)^perp;
 * equalities: the RREF basis of lin(C)^perp.
 
-Equality of cones is therefore equality of canonical data.  Conversion
+Equality of cones is therefore equality of canonical data.  A face is an
+index set into its parent's two representations: the generators it
+contains and the inequalities active on it.  Its own cone is built only
+when read.  The normal face F -> C° ∩ lin(F)^perp swaps the two index
+sets, as `polar` swaps the two representations, because the polar's
+generators are the parent's inequalities in order.  Conversion
 between the representations is done by the double description method
 (Fukuda–Prodon), processing one halfspace at a time.  A step has two
 halves.  `_lin_cut` splits off the lineality direction the hyperplane
@@ -33,6 +38,7 @@ order and every output.  The ``Fraction`` fields of `Cone` are formed in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -100,12 +106,19 @@ class Cone:
 
 @dataclass(frozen=True)
 class Face:
+    """The face of parent spanned by the generators in gen_mask, with the
+    inequalities in active tight on it."""
+
     parent: Cone
-    cone: Cone
     span: Subspace
     dim: int
     gen_mask: int
     active: frozenset[int]
+
+    @cached_property
+    def cone(self) -> Cone:
+        p = self.parent
+        return _from_vrep(_masked(p.generators, self.gen_mask), p.lineality, p.d)
 
 
 @dataclass(frozen=True)
@@ -123,10 +136,16 @@ class FaceLattice:
         return sum((-1) ** k * f for k, f in enumerate(self.f_vector))
 
     def face_of_cone(self, c: Cone) -> Face:
-        for f in self.faces:
-            if f.cone == c:
-                return f
+        if c.lineality == self.cone.lineality:
+            for f in self.faces:
+                if _masked(self.cone.generators, f.gen_mask) == c.generators:
+                    return f
         raise ValueError("cone is not a face of the lattice")
+
+
+def _masked(rows: Mat, mask: int) -> Mat:
+    """The rows whose bits are set in mask, in order."""
+    return tuple(r for i, r in enumerate(rows) if mask >> i & 1)
 
 
 def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
@@ -334,8 +353,12 @@ def face_lattice(c: Cone) -> FaceLattice:
     """All faces of the cone, graded by dimension.
 
     Faces are intersections of facet-incidence sets of extreme rays: the
-    meet-closure of the facet masks enumerates every face once, and each
-    face is rebuilt from its extreme rays plus the shared lineality space.
+    meet-closure of the facet masks enumerates every face once.  Each face
+    is the index set of its generators and of its active facets, with the
+    span of those generators plus the lineality space; no face cone is
+    built.  Faces sort by (dim, selected generators), which are the face
+    cone's canonical generators, so the interval below a face, in this
+    order, is the face's own lattice.
     """
     gens = c.generators
     n = len(gens)
@@ -360,14 +383,12 @@ def face_lattice(c: Cone) -> FaceLattice:
 
     faces = []
     for msk in masks:
-        sel = tuple(gens[i] for i in range(n) if msk >> i & 1)
-        span = subspace_from_rows(sel + c.lineality.basis, c.d)
+        span = subspace_from_rows(_masked(gens, msk) + c.lineality.basis, c.d)
         active = frozenset(
             i for i, fm in enumerate(facet_masks) if msk & fm == msk
         )
-        fcone = _from_vrep(sel, c.lineality, c.d)
-        faces.append(Face(c, fcone, span, span.dim, msk, active))
-    faces.sort(key=lambda f: (f.dim, f.cone.generators))
+        faces.append(Face(c, span, span.dim, msk, active))
+    faces.sort(key=lambda f: (f.dim, _masked(gens, f.gen_mask)))
     fvec = [0] * (c.d + 1)
     for f in faces:
         fvec[f.dim] += 1
@@ -382,18 +403,14 @@ def face_lattice(c: Cone) -> FaceLattice:
 
 
 def normal_face(c: Cone, f: Face) -> Face:
-    """The face C° ∩ lin(F)^perp of the polar cone, of dimension d - dim F."""
+    """The face N_F C = C° ∩ lin(F)^perp of the polar cone, of dimension
+    d - dim F: the normals active on F, tight on the generators in F."""
     if f.parent != c:
         raise ValueError("face does not belong to this cone")
-    pl = face_lattice(polar(c))
-    want = 0
-    for i in sorted(f.active):
-        want |= 1 << i
-    # polar generators are exactly c.inequalities, in the same order
-    for g in pl.faces:
-        if g.gen_mask == want:
-            return g
-    raise InvariantViolation("active set does not select a polar face")
+    normals = tuple(c.inequalities[i] for i in sorted(f.active))
+    span = subspace_from_rows(normals + c.equalities, c.d)
+    return Face(polar(c), span, span.dim, sum(1 << i for i in f.active),
+                frozenset(i for i in range(len(c.generators)) if f.gen_mask >> i & 1))
 
 
 def canonical_decomposition(c: Cone) -> tuple[Subspace, Cone]:
@@ -513,11 +530,18 @@ def cone_to_json(c: Cone) -> dict:
     }
 
 
+def _json_dim(d) -> int:
+    """The ambient dimension 'd' of an input file: an int >= 1."""
+    if type(d) is not int or d < 1:  # also rejects bool, a subclass of int
+        raise ValueError(f"ambient dimension 'd' must be a positive integer, got {d!r}")
+    return d
+
+
 def cone_from_json(obj: dict) -> Cone:
     """Build a cone from its JSON form; exactly one representation given."""
     if "d" not in obj:
         raise ValueError("cone JSON requires the ambient dimension 'd'")
-    d = int(obj["d"])
+    d = _json_dim(obj["d"])
     has_h = "inequalities" in obj or "equalities" in obj
     has_v = "generators" in obj or "lineality" in obj
     if has_h == has_v:

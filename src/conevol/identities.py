@@ -39,12 +39,14 @@ from .arrangement import (
 from .cone import (
     Cone,
     Face,
+    _masked,
     cone_from_generators,
     face_lattice,
     intersect,
     minkowski_sum,
     normal_face,
     polar,
+    transverse,
 )
 from .exactlin import mat, vec
 from .volumes import (
@@ -57,7 +59,6 @@ from .volumes import (
     haar_rotation,
     solid_angle_se,
     statdim_mc,
-    tangent_cone,
 )
 
 
@@ -202,16 +203,15 @@ def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> Verif
     if g.parent != c:
         raise ValueError("face does not belong to this cone")
     fl = face_lattice(c)
+    gi = fl.faces.index(g)
     lhs = rhs = residual = 0.0
     ses = []
     for i, f in enumerate(fl.faces):
-        if g.gen_mask & f.gen_mask != g.gen_mask:
+        if not fl.leq(gi, i):
             continue  # v_G(F) = 0 when G is not a face of F
         est = estimate_iv(f.cone, _sub_cfg(cfg, 2, i))
-        sub = face_lattice(f.cone)
-        idx = next(
-            k for k, sf in enumerate(sub.faces) if sf.cone == g.cone
-        )
+        # F's own lattice is the interval below F, in the same order
+        idx = sum(fl.leq(j, i) for j in range(gi))
         v_g = est.face_hit_counts[idx] / est.n_samples
         se = _floor_se(math.sqrt(v_g * (1 - v_g) / est.n_samples), est.n_samples)
         sign = (-1) ** f.dim
@@ -348,10 +348,10 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
             for fi, f in enumerate(fl.faces):
                 if not (fl.leq(gi, fi) and fl.leq(fi, ki)):
                     continue
-                beta_gf, se_bgf = _angle_pair(g, f, cfg, tag=(8, gi, fi))
-                gamma_fk, se_gfk = _angle_pair_normal(f, k, cfg, tag=(9, fi, ki))
-                gamma_gf, se_ggf = _angle_pair_normal(g, f, cfg, tag=(10, gi, fi))
-                beta_fk, se_bfk = _angle_pair(f, k, cfg, tag=(11, fi, ki))
+                beta_gf, se_bgf = solid_angle_se(_tangent_of(g, f), _sub_cfg(cfg, 8, gi, fi))
+                gamma_fk, se_gfk = solid_angle_se(_normal_of(f, k), _sub_cfg(cfg, 9, fi, ki))
+                gamma_gf, se_ggf = solid_angle_se(_normal_of(g, f), _sub_cfg(cfg, 10, gi, fi))
+                beta_fk, se_bfk = solid_angle_se(_tangent_of(f, k), _sub_cfg(cfg, 11, fi, ki))
                 s1 += (-1) ** (f.dim - g.dim) * beta_gf * gamma_fk
                 s2 += (-1) ** (k.dim - f.dim) * gamma_gf * beta_fk
                 ses1.append(_quad(beta_gf * se_gfk, gamma_fk * se_bgf))
@@ -369,16 +369,26 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
     )
 
 
-def _angle_pair(g: Face, f: Face, cfg: SampleConfig, tag) -> tuple[float, float]:
-    """beta(G, F): solid angle of the tangent cone of F at G."""
-    t = tangent_cone(f.cone, face_lattice(f.cone).face_of_cone(g.cone))
-    return solid_angle_se(t, _sub_cfg(cfg, *tag))
+def _tangent_of(g: Face, f: Face) -> Cone:
+    """T_G F = F + lin G, the tangent cone of F at G <= F, from the
+    parent's generators; beta(G, F) is its solid angle."""
+    c = f.parent
+    return cone_from_generators(
+        _masked(c.generators, f.gen_mask),
+        _masked(c.generators, g.gen_mask) + c.lineality.basis, c.d,
+    )
 
 
-def _angle_pair_normal(f: Face, k: Face, cfg: SampleConfig, tag) -> tuple[float, float]:
-    """gamma(F, K): solid angle of the normal face of K at F."""
-    n = normal_face(k.cone, face_lattice(k.cone).face_of_cone(f.cone))
-    return solid_angle_se(n.cone, _sub_cfg(cfg, *tag))
+def _normal_of(f: Face, k: Face) -> Cone:
+    """N_F K = N_F C + lin(K)^perp, the normal face of K at F <= K, from
+    the parent's inequalities, since lin(K)^perp is spanned by C's
+    equalities and the normals active on K; gamma(F, K) is its solid
+    angle."""
+    c = f.parent
+    return cone_from_generators(
+        tuple(c.inequalities[i] for i in sorted(f.active)),
+        tuple(c.inequalities[i] for i in sorted(k.active)) + c.equalities, c.d,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +554,6 @@ def _crofton_line_hits(c: Cone, line: Cone, trials: int, rng) -> int:
 def verify_transverse_duality(c: Cone, d_cone: Cone) -> VerificationReport:
     """For transversely intersecting faces, N_F C + N_G D equals
     N_{F∩G}(C ∩ D) exactly (checked over all face pairs)."""
-    from .cone import transverse
-
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
     fl_c = face_lattice(c)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cone import Cone, Face, FaceLattice, canonical_decomposition, face_lattice, polar
-from .cone import cone_from_generators, cone_from_inequalities
+from .cone import cone_from_generators, cone_from_inequalities, normal_face
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
@@ -258,10 +258,10 @@ def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int):
             need -= n_ok
 
 
-def estimate_iv(c: Cone, cfg: SampleConfig, lattice: FaceLattice | None = None) -> IVEstimate:
+def estimate_iv(c: Cone, cfg: SampleConfig) -> IVEstimate:
     """Monte Carlo intrinsic volumes by tallying face dimensions of
     Gaussian projections; deterministic for fixed (seed, workers)."""
-    kern = _kernel_for(c, lattice)
+    kern = _kernel_for(c)
     counts = np.zeros(len(kern.face_dims), dtype=np.int64)
     for idx, _ in _sample_faces(kern, cfg, stream=0):
         counts += np.bincount(idx, minlength=len(counts))
@@ -282,15 +282,14 @@ def estimate_iv(c: Cone, cfg: SampleConfig, lattice: FaceLattice | None = None) 
     )
 
 
-def estimate_functionals(c: Cone, cfg: SampleConfig, funcs,
-                         lattice: FaceLattice | None = None):
+def estimate_functionals(c: Cone, cfg: SampleConfig, funcs):
     """Means and standard errors of per-sample functionals f(face_dim, |p|^2).
 
     funcs maps names to vectorized callables; all functionals share the
     same sample stream, so differences of the returned means can be given
     exact per-sample standard errors by registering the difference itself.
     """
-    return _functional_stats(_kernel_for(c, lattice), cfg, funcs, stream=0)
+    return _functional_stats(_kernel_for(c), cfg, funcs, stream=0)
 
 
 def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: int):
@@ -456,13 +455,13 @@ def statistical_dimension(v):
     return sum(k * x for k, x in enumerate(v.values))
 
 
-def statdim_mc(c: Cone, cfg: SampleConfig, lattice: FaceLattice | None = None):
+def statdim_mc(c: Cone, cfg: SampleConfig):
     """Mean squared norm of the projection of a Gaussian vector onto C.
 
     Returns (estimate, standard error); drawn from a substream independent
     of estimate_iv so the two routes can be compared in quadrature.
     """
-    stats = _functional_stats(_kernel_for(c, lattice), cfg,
+    stats = _functional_stats(_kernel_for(c), cfg,
                               {"pn2": lambda dims, pn2: pn2}, stream=1)
     return stats["pn2"]
 
@@ -519,8 +518,6 @@ def external_angle(f: Face, c: Cone, cfg: SampleConfig | None = None) -> float:
 
 def external_angle_se(f: Face, c: Cone, cfg: SampleConfig | None = None):
     """gamma(F, C) = alpha of the normal face of C at F."""
-    from .cone import normal_face
-
     return solid_angle_se(normal_face(c, f).cone, cfg)
 
 

@@ -80,6 +80,17 @@ def test_exit_code_two_on_bad_input(tmp_path):
         bad.write_text(json.dumps(obj))
         code, out, err = run_cli(verb, str(bad))
         assert code == 2 and "Traceback" not in err and out == "", (verb, obj)
+    # an ambient dimension that is not an int >= 1 is rejected by name
+    for verb, obj in (
+        ("cone-info", {"d": 2.7, "inequalities": [[-1, 0]]}),
+        ("cone-info", {"d": True, "inequalities": [[-1]]}),
+        ("cone-info", {"d": -1, "inequalities": [[-1, 0]]}),
+        ("arr-chi", {"d": 2.9, "normals": [[1, 0], [0, 1]]}),
+        ("arr-chi", {"d": -1, "normals": [[1, 0]]}),
+    ):
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_cli(verb, str(bad))
+        assert code == 2 and "'d'" in err and out == "", (verb, obj, err)
     # steiner-mgf outside its finite-variance domain t < ln 2 / 2
     code, _, err = run_cli("verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
                            "--t-grid", "12", "--samples", "2000")

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
+from conevol import cone as cone_module
 from conevol.catalog import build_cones
 from conevol.cone import (
     InvariantViolation,
+    _from_vrep,
     canonical_decomposition,
     cone_from_generators,
     cone_from_inequalities,
@@ -26,6 +28,8 @@ from conevol.cone import (
     transverse,
 )
 from conevol.exactlin import dot, full_space, mat, rank, subspace_from_rows, vec
+from conevol.identities import _normal_of, _tangent_of
+from conevol.volumes import tangent_cone
 
 ORTHANT2 = cone_from_inequalities([[-1, 0], [0, -1]], 2)
 ORTHANT3 = cone_from_inequalities([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], 3)
@@ -330,6 +334,54 @@ def test_constructors_match_rational_oracle(case):
         assert cone_from_generators(c.generators, c.lineality.basis, d) == c
         fl = face_lattice(c)
         assert fl.euler_sum == ((-1) ** c.dim if c.is_subspace else 0)
+        _check_index_set_faces(c, fl)
+
+
+def _selected(c, mask):
+    return tuple(g for i, g in enumerate(c.generators) if mask >> i & 1)
+
+
+def _scan_face_of_cone(fl, c):
+    # reference: match a face by building and comparing every face cone
+    return next(f for f in fl.faces if f.cone == c)
+
+
+def _scan_normal_face(c, f):
+    # reference: find the polar face whose generators are F's active normals
+    want = sum(1 << i for i in f.active)
+    return next(g for g in face_lattice(polar(c)).faces if g.gen_mask == want)
+
+
+def _check_index_set_faces(c, fl):
+    """Index-set faces, swapped normal faces and the angle helpers' cones
+    against the routes that rebuild every face cone and every sub-lattice."""
+    faces = fl.faces
+    assert list(faces) == sorted(faces, key=lambda f: (f.dim, f.cone.generators))
+    for fi, f in enumerate(faces):
+        assert f.cone == _from_vrep(_selected(c, f.gen_mask), c.lineality, c.d)
+        nf, ref = normal_face(c, f), _scan_normal_face(c, f)
+        assert nf == ref and nf.cone == ref.cone
+        sub = face_lattice(f.cone)
+        below = [g for gi, g in enumerate(faces) if fl.leq(gi, fi)]
+        assert [(g.dim, g.span, g.cone) for g in below] == [
+            (g.dim, g.span, g.cone) for g in sub.faces
+        ]
+        for g in below:
+            g_in_f = _scan_face_of_cone(sub, g.cone)
+            assert sub.face_of_cone(g.cone) == g_in_f
+            assert _tangent_of(g, f) == tangent_cone(f.cone, g_in_f)
+            assert _normal_of(g, f) == normal_face(f.cone, g_in_f).cone
+
+
+def test_face_lattice_builds_no_face_cone(monkeypatch):
+    calls = []
+    real = cone_module._from_vrep
+    monkeypatch.setattr(cone_module, "_from_vrep", lambda *a: calls.append(a) or real(*a))
+    for name, c in build_cones():
+        calls.clear()
+        fl = face_lattice(c)
+        assert calls == [], name
+        assert fl.faces[-1].cone == c and len(calls) == 1, name
 
 
 def test_json_round_trip():
