@@ -2,15 +2,21 @@
 
 Hyperplanes are stored as primitive normals with positive leading entry
 (H and -H define the same hyperplane).  The intersection lattice is built
-by breadth-first closure under single-hyperplane intersection; the Möbius
-function by the standard recursion; characteristic polynomials carry exact
-integer coefficients.  Chambers are enumerated by incremental insertion on
-V-representations with the double-description step that converts cones
-between representations: its lineality half `cone._lin_cut` runs once per
-hyperplane, its ray half `cone._dd_step` once per chamber.  Inserting a
-hyperplane splits exactly the chambers with generators strictly on both
-sides, decided by exact signs on integer vectors.  Regions of dimension j are the chambers of
-the restrictions to j-flats, lifted back to ambient coordinates.
+by breadth-first closure under single-hyperplane intersection on integer
+echelons: a flat X is keyed by the echelon of X^perp, the span of the
+normals of the hyperplanes containing it, and one kernel per distinct flat
+gives its basis.  The Möbius function follows by the standard recursion;
+characteristic polynomials carry exact integer coefficients.  Chambers are
+enumerated by incremental insertion on V-representations with the
+double-description step that converts cones between representations: its
+lineality half `cone._lin_cut` runs once per hyperplane, its ray half
+`cone._dd_step` once per chamber.  Inserting a hyperplane splits exactly
+the chambers with generators strictly on both sides, decided by exact signs
+on integer vectors.  Regions of dimension j are the chambers of the
+restrictions to j-flats, lifted back to ambient coordinates.  Each region's
+cone is built from the insertion data, with no second double description:
+its rays and zero-set bitmasks give the generators and the facets, and the
+flat gives the lineality and the equalities.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from .cone import (
     Cone,
     InvariantViolation,
     _dd_step,
-    _from_vrep,
     _json_dim,
     _lift,
     _lin_cut,
@@ -39,6 +44,9 @@ from .exactlin import (
     _idot,
     _int_mat,
     _int_vec,
+    _ireduce,
+    _prim,
+    _rational,
     _rref_rows,
     full_space,
     is_zero,
@@ -194,31 +202,36 @@ class IntersectionLattice:
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         d = arr.d
-        found: dict[Mat, Subspace] = {}
-        start = full_space(d)
-        found[start.basis] = start
-        work = [((), start)]
-        while work:
-            rows, sub = work.pop()
-            for n in arr.normals:
-                nr = rref(rows + (n,))
-                if len(nr) == len(rows):
-                    continue  # hyperplane contains the flat
-                ns = kernel(nr, d)
-                if ns.basis not in found:
-                    found[ns.basis] = ns
-                    work.append((nr, ns))
-        subs = sorted(found.values(), key=lambda s: (-s.dim, s.basis))
         normals = [_int_vec(n) for n in arr.normals]
-        flats = []
-        for s in subs:
-            basis = [_int_vec(b) for b in s.basis]
-            defining = frozenset(
-                i
-                for i, n in enumerate(normals)
-                if not any(_idot(b, n) for b in basis)
-            )
-            flats.append(Flat(s, defining))
+        # closure under single-hyperplane intersection, keyed by the echelon
+        # of X^perp, which is spanned by the normals of the hyperplanes
+        # containing the flat X: a hyperplane contains X iff its normal
+        # reduces to zero, and each distinct flat needs one kernel
+        defining: dict[tuple, frozenset[int]] = {}
+        found = {()}
+        work = [()]
+        while work:
+            key = work.pop()
+            rows = [row for _, row in key]
+            inside = []
+            cuts = set()  # normals modulo X^perp, up to sign: one per new flat
+            for i, n in enumerate(normals):
+                w = _ireduce(n, key)
+                if not any(w):
+                    inside.append(i)
+                else:
+                    w = _prim(w)
+                    cuts.add(max(w, tuple(-x for x in w)))
+            for w in cuts:
+                nk = tuple(_echelon(rows + [w]))
+                if nk not in found:
+                    found.add(nk)
+                    work.append(nk)
+            defining[key] = frozenset(inside)
+        flats = sorted(
+            (Flat(kernel([row for _, row in key], d), ds) for key, ds in defining.items()),
+            key=lambda f: (-f.dim, f.subspace.basis),
+        )
         self.flats: tuple[Flat, ...] = tuple(flats)
         n = len(flats)
         # a flat is the intersection of the hyperplanes containing it, so
@@ -306,13 +319,26 @@ def restriction(a: Arrangement, flat) -> Arrangement:
     polynomial outputs do not depend on this choice.
     """
     sub = flat.subspace if isinstance(flat, Flat) else flat
-    basis = _int_mat(sub.basis)
-    normals = []
-    for nrm in map(_int_vec, a.normals):
-        proj = [_idot(row, nrm) for row in basis]
-        if any(proj):
-            normals.append(proj)
-    return arrangement(normals, sub.dim)
+    restricted, _ = _restrict([_int_vec(n) for n in a.normals], _int_mat(sub.basis))
+    return Arrangement(sub.dim, _rational(restricted))
+
+
+def _restrict(normals: list[IntVec], basis) -> tuple[list[IntVec], list]:
+    """Restrict integer normals to the span of the basis rows.
+
+    Returns the restricted normals, sign-canonical, deduplicated and sorted
+    as `arrangement` keeps them, and for each ambient normal either
+    (t, orientation), its projection being a positive multiple of
+    orientation * restricted[t], or None if its hyperplane contains the span.
+    """
+    proj = []
+    for n in normals:
+        p = _prim([_idot(row, n) for row in basis])
+        o = next(((x > 0) - (x < 0) for x in p if x), 0)
+        proj.append((p if o >= 0 else tuple(-x for x in p), o))
+    restricted = sorted({p for p, o in proj if o})
+    index = {p: t for t, p in enumerate(restricted)}
+    return restricted, [(index[p], o) if o else None for p, o in proj]
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +349,19 @@ def _ambient_flat(d: int) -> Flat:
     return Flat(full_space(d), frozenset())
 
 
-def _chamber_rays(a: Arrangement) -> tuple[Echelon, list[tuple[list[IntVec], tuple[int, ...]]]]:
-    """Chambers as raw V-representations: (common lineality, [(rays, signs)]).
+def _chamber_rays(normals: list[IntVec], m: int):
+    """Chambers of the hyperplanes with these normals in R^m as raw
+    V-representations: (common lineality, [(rays, signs)]).
 
-    Rays are integer vectors, not canonicalized; each chamber is the cone
-    they span plus the lineality echelon shared by every chamber.  The
-    lineality half of each insertion is computed once for all chambers.
+    Rays are (integer vector, zero-set bitmask) pairs, not canonicalized:
+    bit t is set iff the ray lies on hyperplane t.  Each chamber is the cone
+    the rays span plus the lineality echelon shared by every chamber, on
+    side signs[t] of hyperplane t.  The lineality half of each insertion is
+    computed once for all chambers.
     """
-    lin = _unit_echelon(a.d)
+    lin = _unit_echelon(m)
     chams: list[tuple[list, tuple[int, ...]]] = [([], ())]
-    for t, nrm in enumerate(map(_int_vec, a.normals)):
+    for t, nrm in enumerate(normals):
         lin, cut = _lin_cut(lin, nrm)
         next_chams = []
         for rays, signs in chams:
@@ -342,7 +371,126 @@ def _chamber_rays(a: Arrangement) -> tuple[Echelon, list[tuple[list[IntVec], tup
                 if any(not z >> t & 1 for _, z in side):
                     next_chams.append((side, signs + (sign,)))
         chams = next_chams
-    return lin, [([r for r, _ in rays], signs) for rays, signs in chams]
+    return lin, chams
+
+
+def _ray_signs(normals, rays, lin=()) -> tuple[int, ...]:
+    """Signs of cone(rays) + span(lin) against each normal, 0 = contained.
+
+    Raises InvariantViolation if the cone crosses a hyperplane: a lineality
+    vector off it, or rays strictly on both sides.
+    """
+    for v in lin:
+        if any(_sides(normals, v)):
+            raise InvariantViolation("region lineality crosses a hyperplane")
+    return _signs_of(len(normals), [_sides(normals, r) for r in rays])
+
+
+def _sides(normals, v) -> tuple[int, int]:
+    """Bitmasks of the normals with positive and with negative product with v."""
+    pos = neg = 0
+    for t, n in enumerate(normals):
+        s = _idot(n, v)
+        if s > 0:
+            pos |= 1 << t
+        elif s < 0:
+            neg |= 1 << t
+    return pos, neg
+
+
+def _signs_of(n: int, sides) -> tuple[int, ...]:
+    """Sign vector over n normals of the cone spanned by rays with these
+    `_sides` masks; raises InvariantViolation if rays lie strictly on both
+    sides of a hyperplane."""
+    pos = neg = 0
+    for p, q in sides:
+        pos |= p
+        neg |= q
+    if pos & neg:
+        raise InvariantViolation("region straddles a hyperplane")
+    return tuple((pos >> t & 1) - (neg >> t & 1) for t in range(n))
+
+
+def _facets(rays, n: int) -> list[int]:
+    """The hyperplanes among n that carry a facet of the chamber: those whose
+    zero set on the rays is inclusion-maximal.
+
+    Every face of a chamber is cut out by the hyperplanes it lies on, and a
+    facet spans its hyperplane, so no two hyperplanes share a facet.
+    """
+    zero = [0] * n
+    for k, (_, z) in enumerate(rays):
+        while z:
+            low = z & -z
+            zero[low.bit_length() - 1] |= 1 << k
+            z ^= low
+    kept: list[int] = []
+    for t in sorted(range(n), key=lambda t: -zero[t].bit_count()):
+        if not any(zero[t] & zero[f] == zero[t] for f in kept):
+            kept.append(t)
+    return kept
+
+
+def _canon_row(v, ech: Echelon) -> tuple[IntVec, tuple[Fraction, ...]]:
+    """v reduced modulo the echelon and made primitive, as ints and Fractions:
+    the canonical generator or inequality row of `cone`."""
+    c = _prim(_ireduce(v, ech))
+    return c, tuple(map(Fraction, c))
+
+
+def _flat_regions(normals: list[IntVec], flat: Flat) -> list[Region]:
+    """The chambers of the restriction to the flat, as ambient regions.
+
+    Built from the insertion data alone, with no second double description:
+    rays are lifted and canonicalized modulo the lifted lineality; restricted
+    hyperplane t carries a facet iff its zero set on the rays is maximal, and
+    its facet normal is an ambient normal of t, pointed away from the chamber
+    and canonicalized modulo X^perp, which gives the equalities.  X^perp is
+    spanned by the normals of the hyperplanes containing X.
+    """
+    d, j = flat.subspace.dim_ambient, flat.dim
+    basis = _int_mat(flat.subspace.basis)
+    restricted, where = _restrict(normals, basis)
+    lin_ech, chams = _chamber_rays(restricted, j)
+    _ray_signs(restricted, (), [v for _, v in lin_ech])  # lineality on every hyperplane
+    lin_amb = _echelon(_lift(v, basis) for _, v in lin_ech)
+    lin = Subspace(d, _rref_rows(lin_amb))
+    perp = _echelon(normals[i] for i in sorted(flat.defining_set))
+    equalities = _rref_rows(perp)
+    # one ambient normal per restricted hyperplane, oriented like it
+    facing: dict[int, list[int]] = {}
+    for n, w in zip(normals, where):
+        if w and w[0] not in facing:
+            facing[w[0]] = [w[1] * x for x in n]
+    # chambers share rays and facets, so each canonical row is formed once
+    gen_rows: dict[IntVec, tuple] = {}
+    sides: dict[IntVec, tuple[int, int]] = {}
+    facet_rows: dict[tuple[int, int], tuple] = {}
+    out = []
+    for rays, signs in chams:
+        vecs = [r for r, _ in rays]
+        for r in vecs:
+            if r not in gen_rows:
+                gen_rows[r] = _canon_row(_lift(r, basis), lin_amb)
+                sides[r] = _sides(restricted, r)
+        if _signs_of(len(restricted), [sides[r] for r in vecs]) != signs:
+            raise InvariantViolation("chamber rays disagree with their insertion signs")
+        facets = [(t, signs[t]) for t in _facets(rays, len(restricted))]
+        for t, s in facets:
+            if (t, s) not in facet_rows:
+                facet_rows[t, s] = _canon_row([-s * x for x in facing[t]], perp)
+        cone = Cone(
+            d=d,
+            inequalities=tuple(f for _, f in sorted(facet_rows[k] for k in facets)),
+            equalities=equalities,
+            generators=tuple(f for _, f in sorted(gen_rows[r] for r in vecs)),
+            lineality=lin,
+            dim=j,
+            lineality_dim=lin.dim,
+        )
+        sv = tuple(0 if w is None else signs[w[0]] * w[1] for w in where)
+        out.append(Region(sv, cone, flat))
+    return out
 
 
 def chambers(a: Arrangement) -> list[Region]:
@@ -353,27 +501,10 @@ def chambers(a: Arrangement) -> list[Region]:
     hyperplane is inserted by the double-description step
     (`cone._lin_cut`, then `cone._dd_step` per chamber) that also converts
     cones between representations.  A hyperplane splits a chamber iff both
-    halves have a ray strictly off it.
+    halves have a ray strictly off it.  The chambers are the regions of the
+    ambient flat, built as in `regions_j`.
     """
-    lin_ech, chams = _chamber_rays(a)
-    lin = Subspace(a.d, _rref_rows(lin_ech))
-    flat0 = _ambient_flat(a.d)
-    return [Region(signs, _from_vrep(rays, lin, a.d), flat0) for rays, signs in chams]
-
-
-def _region_sign_vector(normals, cone: Cone) -> tuple[int, ...]:
-    """Signs of the cone against each (integer) normal, 0 = contained."""
-    gens = [_int_vec(g) for g in cone.generators]
-    lin = [_int_vec(v) for v in cone.lineality.basis]
-    signs = []
-    for nrm in normals:
-        if any(_idot(nrm, v) for v in lin):
-            raise InvariantViolation("region lineality crosses a hyperplane")
-        found = {s > 0 for s in (_idot(nrm, g) for g in gens) if s}
-        if len(found) > 1:
-            raise InvariantViolation("region straddles a hyperplane")
-        signs.append((1 if found.pop() else -1) if found else 0)
-    return tuple(signs)
+    return _flat_regions([_int_vec(n) for n in a.normals], _ambient_flat(a.d))
 
 
 def regions_j(a: Arrangement, j: int,
@@ -388,17 +519,7 @@ def regions_j(a: Arrangement, j: int,
         raise ValueError("region dimension out of range")
     lat = lattice or intersection_lattice(a)
     normals = [_int_vec(n) for n in a.normals]
-    out = []
-    for flat in lat.flats:
-        if flat.dim != j:
-            continue
-        basis = _int_mat(flat.subspace.basis)
-        flat_lin, chams = _chamber_rays(restriction(a, flat))
-        lin = Subspace(a.d, _rref_rows(_echelon(_lift(v, basis) for _, v in flat_lin)))
-        for rays, _ in chams:
-            cone = _from_vrep([_lift(r, basis) for r in rays], lin, a.d)
-            out.append(Region(_region_sign_vector(normals, cone), cone, flat))
-    return out
+    return [r for flat in lat.flats if flat.dim == j for r in _flat_regions(normals, flat)]
 
 
 def zaslavsky_count(a: Arrangement, j: int,

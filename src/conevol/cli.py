@@ -235,7 +235,7 @@ def _cmd_arr_regions(args) -> int:
     }
     rows = [f"r_{j}   {counts[j]}  (zaslavsky {zas[j]})" for j in js]
     _emit(args, payload, "\n".join(rows))
-    return 0
+    return 0 if payload["match"] else 1
 
 
 def _cmd_arr_family(args) -> int:

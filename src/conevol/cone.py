@@ -32,7 +32,7 @@ algorithm would hold over ``Fraction``, and every lineality row a positive
 multiple of its RREF row.  Signs, zero sets, adjacency decisions and
 primitive representatives are therefore unchanged, and so is every ray
 order and every output.  The ``Fraction`` fields of `Cone` are formed in
-`_dd` and `_from_vrep` only.
+`_dd` and `_from_vrep`, and for region cones in `arrangement`.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from conevol.arrangement import (
     Arrangement,
     BiPolynomial,
     Polynomial,
-    _region_sign_vector,
+    _ray_signs,
     arrangement,
     arrangement_from_json,
     arrangement_to_json,
@@ -41,7 +41,12 @@ from conevol.cone import (
 )
 from conevol.exactlin import dot, lp_strictly_feasible, subspace_from_rows, vec
 
-from arrangement_oracles import arr_product, whitney_char_poly
+from arrangement_oracles import (
+    arr_product,
+    rational_lattice,
+    region_sign_vector,
+    whitney_char_poly,
+)
 
 BRAID3 = named_family("braid", 3)
 BC2 = named_family("bc", 2)
@@ -265,15 +270,45 @@ def test_region_counts_match_zaslavsky_random(a):
         assert all(r.cone.dim == j for r in regs), j
 
 
+@settings(max_examples=40, deadline=None)
+@given(_small_arrangements())
+def test_regions_match_reference_random(a):
+    # regions built from insertion data against the two-step DD reference,
+    # and their sign vectors against the signs of their canonical cones
+    lat = intersection_lattice(a)
+    for j in range(a.d + 1):
+        regs = regions_j(a, j, lat)
+        ref = reference_regions_j(a, j)
+        assert len(regs) == len(ref), j
+        for r, (signs, cone, flat) in zip(regs, ref):
+            assert r.sign_vector == signs and r.cone == cone and r.flat == flat, j
+            assert r.sign_vector == region_sign_vector(a.normals, r.cone), j
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_arrangements())
+def test_lattice_matches_rational_closure_random(a):
+    lat = intersection_lattice(a)
+    flats, mobius = rational_lattice(a)
+    assert len(lat.flats) == len(flats)
+    for f, (sub, defining) in zip(lat.flats, flats):
+        assert f.subspace == sub and f.defining_set == defining
+    assert sorted(lat.mobius.items()) == sorted(mobius.items())
+
+
 def test_region_sign_vector_rejects_straddling():
     a = arrangement([[1, 0]], 2)
+
+    def vrep(c):
+        return c.generators, c.lineality.basis
+
     # dot products 2 and -1 sum to a nonzero value but have mixed signs
     with pytest.raises(InvariantViolation):
-        _region_sign_vector(a.normals, cone_from_generators([[2, 1], [-1, 1]], [], 2))
+        _ray_signs(a.normals, *vrep(cone_from_generators([[2, 1], [-1, 1]], [], 2)))
     with pytest.raises(InvariantViolation):
-        _region_sign_vector(a.normals, cone_from_generators([[0, 1]], [[1, 0]], 2))
-    assert _region_sign_vector(a.normals, cone_from_generators([[2, 1], [1, -1]], [], 2)) == (1,)
-    assert _region_sign_vector(a.normals, cone_from_generators([], [[0, 1]], 2)) == (0,)
+        _ray_signs(a.normals, *vrep(cone_from_generators([[0, 1]], [[1, 0]], 2)))
+    assert _ray_signs(a.normals, *vrep(cone_from_generators([[2, 1], [1, -1]], [], 2))) == (1,)
+    assert _ray_signs(a.normals, *vrep(cone_from_generators([], [[0, 1]], 2))) == (0,)
 
 
 def test_region_fields_are_fractions():

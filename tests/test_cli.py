@@ -155,6 +155,15 @@ def test_arr_regions_family():
     assert obj["counts"]["2"] == 8 and obj["match"] is True
 
 
+def test_arr_regions_exit_one_on_count_mismatch(monkeypatch, capsys):
+    from conevol import cli
+
+    real = cli.regions_j
+    monkeypatch.setattr(cli, "regions_j", lambda *a, **k: real(*a, **k)[1:])
+    assert cli.main(["arr-regions", "--family", "bc:2"]) == 1
+    assert json.loads(capsys.readouterr().out)["match"] is False
+
+
 def test_arr_family_round_trip():
     code, out, _ = run_cli("arr-family", "generic:n=4,d=2,seed=11")
     assert code == 0
