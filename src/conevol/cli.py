@@ -245,7 +245,10 @@ def _cmd_arr_family(args) -> int:
 
 
 def _parse_grid(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
+    grid = [float(x) for x in text.split(",") if x.strip()]
+    if not grid:
+        raise ValueError("--t-grid holds no values")
+    return grid
 
 
 def _cmd_verify(args) -> int:

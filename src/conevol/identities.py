@@ -430,12 +430,18 @@ def _product_iv(c: Cone, d_cone: Cone, cfg: SampleConfig, tags):
     return vals, [math.sqrt(x) for x in vars_]
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
                    cfg: SampleConfig, rng_tag: int, tag: int) -> tuple[float, float]:
     """Mean over Haar rotations Q of vhat_index(combine(C, QD)) and its
     standard error.  Q is drawn from the stream (seed, rng_tag) and
     rationalized so that QD is built exactly; rotation t is sampled with
     cfg.n_samples draws at sub-seed (tag, t)."""
+    _check_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, rng_tag)))
     per_trial = []
     for t in range(trials):
@@ -494,6 +500,7 @@ def verify_crofton_probability(c: Cone, d_cone: Cone, trials: int,
     both cones are linear subspaces (the formula's hypothesis)."""
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
+    _check_trials(trials)
     if c.is_subspace and d_cone.is_subspace:
         return VerificationReport(
             identity="crofton", status="skip",

@@ -17,6 +17,7 @@ by addition.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,18 @@ from .cone import cone_from_generators, cone_from_inequalities, normal_face
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
 _CHUNK_FLOATS = 1 << 19
+# per-thread scratch for classify's margins: one buffer reused across calls
+# and kernels, so the hot loop allocates no chunk-sized temporaries; a
+# buffer per kernel would pin up to 4 MiB for every cached kernel
+_workspace = threading.local()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """This thread's workspace, grown to at least n floats."""
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _workspace.buf = np.empty(n)
+    return buf
 
 
 class AmbiguousProjection(RuntimeError):
@@ -52,6 +65,9 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.workers < 1:
             raise ValueError("n_samples and workers must be positive")
+        if not (math.isfinite(self.tolerance_sigmas) and self.tolerance_sigmas > 0):
+            raise ValueError("tolerance_sigmas must be finite and positive, "
+                             f"got {self.tolerance_sigmas}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,9 @@ class ProjectionKernel:
     slots a face does not fill are zero rows masked with -inf, so one
     matmul per row chunk yields every face's margin.  A chunk holds as many
     rows as keep its m * nf * rows margins within _CHUNK_FLOATS, which
-    bounds the working set whatever the batch size.
+    bounds the working set whatever the batch size.  The margins and their
+    per-face maxima live in one per-thread workspace shared by every
+    kernel, so classifying allocates only the arrays it returns.
     """
 
     def __init__(self, c: Cone, lattice: FaceLattice):
@@ -155,38 +173,46 @@ class ProjectionKernel:
         self._slots = m
         self._chunk = max(1, _CHUNK_FLOATS // (m * nf))
 
-    def classify(self, g: np.ndarray):
+    def classify(self, g: np.ndarray, pnorm2: bool = True):
         """Locate each row of g in the facial decomposition.
 
         Returns (face_index, pnorm2, ok, (m1, m2)): the face with the best
         margin m1, the squared norm of the projection onto its span, and
         the second best margin m2; ok is False where the margins do not
-        separate a unique face beyond tolerance.
+        separate a unique face beyond tolerance.  The squared norms are
+        computed only when pnorm2 is true; otherwise that slot is None.
+        The returned arrays are fresh and never alias the workspace.
         """
         b = g.shape[0]
         nf = len(self.bases)
+        ms = self._slots * nf
         best = np.empty(b, dtype=np.intp)
         m1 = np.empty(b)
         m2 = np.empty(b)
-        pnorm2 = np.empty(b)
+        pn2 = np.empty(b) if pnorm2 else None
+        buf = _scratch((ms + nf) * min(self._chunk, b))
         for lo in range(0, b, self._chunk):
             hi = min(lo + self._chunk, b)
+            r = hi - lo
             gc = g[lo:hi]
-            cols = np.arange(hi - lo)
-            s = self._w @ gc.T
+            cols = np.arange(r)
+            s = buf[:ms * r].reshape(ms, r)
+            np.matmul(self._w, gc.T, out=s)
             s[self._pad] = -np.inf
             # worst constraint per face: minus the face's margin
-            s = s.reshape(self._slots, nf, hi - lo).max(axis=0)
-            k = np.argmin(s, axis=0)
-            m1[lo:hi] = -s[k, cols]
-            s[k, cols] = np.inf
-            m2[lo:hi] = -s.min(axis=0)
+            t = buf[ms * r:(ms + nf) * r].reshape(nf, r)
+            np.max(s.reshape(self._slots, nf, r), axis=0, out=t)
+            k = np.argmin(t, axis=0)
+            m1[lo:hi] = -t[k, cols]
+            t[k, cols] = np.inf
+            m2[lo:hi] = -t.min(axis=0)
             best[lo:hi] = k
-            pg = np.einsum("ri,rij->rj", gc, self.projectors[k])
-            pnorm2[lo:hi] = np.einsum("rj,rj->r", pg, gc)
+            if pnorm2:
+                pg = np.einsum("ri,rij->rj", gc, self.projectors[k])
+                pn2[lo:hi] = np.einsum("rj,rj->r", pg, gc)
         tol = REL_TOL * np.maximum(np.linalg.norm(g, axis=1), 1.0)
         ok = (m1 > tol) & (m2 < -tol)
-        return best, pnorm2, ok, (m1, m2)
+        return best, pn2, ok, (m1, m2)
 
 
 def _unit_rows(rows, d: int) -> np.ndarray:
@@ -204,7 +230,7 @@ def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.nda
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.d:
         raise ValueError("point dimension does not match the cone")
-    idx, _, ok, (m1, m2) = kern.classify(x)
+    idx, _, ok, (m1, m2) = kern.classify(x, pnorm2=False)
     if not ok[0]:
         raise AmbiguousProjection(float(m1[0]), float(m2[0]))
     q = kern.bases[idx[0]]
@@ -233,8 +259,9 @@ def _kernel_for(c: Cone, lattice: FaceLattice | None = None) -> ProjectionKernel
 _BATCH = 16384
 
 
-def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int):
-    """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws.
+def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2: bool):
+    """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws;
+    pnorm2 is None unless asked for.
 
     Ambiguous draws are replaced by fresh draws from the same substream;
     raises if they exceed 0.1% of the budget.
@@ -248,13 +275,13 @@ def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int):
         while need > 0:
             b = min(_BATCH, need)
             g = rng.standard_normal((b, kern.d))
-            idx, pn2, ok, _ = kern.classify(g)
+            idx, pn2, ok, _ = kern.classify(g, pnorm2)
             n_ok = int(ok.sum())
             ambiguous += b - n_ok
             if ambiguous > 0.001 * n + 8:
                 raise AmbiguousProjection(float("nan"), float("nan"))
             if n_ok:
-                yield idx[ok], pn2[ok]
+                yield idx[ok], (pn2[ok] if pnorm2 else None)
             need -= n_ok
 
 
@@ -263,7 +290,7 @@ def estimate_iv(c: Cone, cfg: SampleConfig) -> IVEstimate:
     Gaussian projections; deterministic for fixed (seed, workers)."""
     kern = _kernel_for(c)
     counts = np.zeros(len(kern.face_dims), dtype=np.int64)
-    for idx, _ in _sample_faces(kern, cfg, stream=0):
+    for idx, _ in _sample_faces(kern, cfg, stream=0, pnorm2=False):
         counts += np.bincount(idx, minlength=len(counts))
     n = cfg.n_samples
     dim_counts = np.zeros(c.d + 1, dtype=np.int64)
@@ -298,7 +325,7 @@ def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: 
     SE floored at 1/n."""
     sums = {k: 0.0 for k in funcs}
     sqs = {k: 0.0 for k in funcs}
-    for idx, pn2 in _sample_faces(kern, cfg, stream):
+    for idx, pn2 in _sample_faces(kern, cfg, stream, pnorm2=True):
         dims = kern.face_dims[idx]
         for k, fn in funcs.items():
             vals = fn(dims, pn2)

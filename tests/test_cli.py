@@ -95,6 +95,21 @@ def test_exit_code_two_on_bad_input(tmp_path):
     code, _, err = run_cli("verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
                            "--t-grid", "12", "--samples", "2000")
     assert code == 2 and "Traceback" not in err
+    # rotation counts below one, a tolerance that is not a positive number
+    # and an empty t-grid are input errors, not failed or vacuous checks
+    pair = [str(FIXTURES / "orthant2.json")] * 2
+    square = str(FIXTURES / "square-cone.json")
+    for argv, name in (
+        (["kinematic", *pair, "--trials", "0"], "trials"),
+        (["kinematic", *pair, "--trials", "-3"], "trials"),
+        (["crofton", *pair, "--trials", "0"], "trials"),
+        (["sommerville", square, "--tolerance-sigmas", "-1"], "tolerance_sigmas"),
+        (["sommerville", square, "--tolerance-sigmas", "nan"], "tolerance_sigmas"),
+        (["genfun", square, "--t-grid", ""], "t-grid"),
+        (["steiner-mgf", square, "--t-grid", ""], "t-grid"),
+    ):
+        code, out, err = run_cli("verify", *argv, "--samples", "500")
+        assert code == 2 and name in err and "Traceback" not in err and out == "", (argv, err)
 
 
 def test_verify_steiner_mgf_default_grid():

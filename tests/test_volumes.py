@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classify_oracle as oracle
 from conevol import volumes
 from conevol.catalog import build_cones
 from conevol.cone import (
@@ -298,6 +301,9 @@ def test_sample_config_validation():
         SampleConfig(n_samples=0)
     with pytest.raises(ValueError):
         SampleConfig(workers=0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance_sigmas"):
+            SampleConfig(tolerance_sigmas=tol)
 
 
 def test_moreau_bulk_invariant_100k():
@@ -409,6 +415,79 @@ def test_fused_classify_matches_reference_random_cones(c, seed):
     g = np.vstack([rng.standard_normal((512, c.d)),
                    rng.integers(-2, 3, (64, c.d)).astype(float)])
     _assert_matches_reference(c, g, same_index_everywhere=False)
+
+
+# ---------------------------------------------------------------------------
+# The workspace classifier against the allocating one, bit for bit
+
+
+def _assert_bitwise(got, want, with_pnorm2=True):
+    idx, pn2, ok, (m1, m2) = got
+    w_idx, w_pn2, w_ok, (w_m1, w_m2) = want
+    for a, b in ((idx, w_idx), (ok, w_ok), (m1, w_m1), (m2, w_m2)):
+        assert np.array_equal(a, b)
+    if with_pnorm2:
+        assert np.array_equal(pn2, w_pn2)
+    else:
+        assert pn2 is None
+
+
+def _batches(kern):
+    return sorted({b for b in (1, kern._chunk - 1, kern._chunk, kern._chunk + 1,
+                               16384, 20000) if b >= 1})
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_classify_matches_allocating_oracle_bitwise(name):
+    c = CATALOG[name]
+    kern = ProjectionKernel(c, face_lattice(c))
+    for b in _batches(kern):
+        g = np.random.default_rng(b).standard_normal((b, c.d))
+        want = oracle.classify(kern, g)
+        _assert_bitwise(kern.classify(g), want)
+        _assert_bitwise(kern.classify(g, pnorm2=False), want, with_pnorm2=False)
+
+
+def test_classify_results_do_not_alias_the_workspace():
+    a, b = CATALOG["orthant-4d"], CATALOG["cross-cone-4d"]
+    ka, kb = ProjectionKernel(a, face_lattice(a)), ProjectionKernel(b, face_lattice(b))
+    rng = np.random.default_rng(5)
+    ga = rng.standard_normal((20000, 4))
+    first = ka.classify(ga)
+    kept = oracle.classify(ka, ga)
+    # as many rows again, so any buffer the first call used is reused
+    kb.classify(rng.standard_normal((20000, 4)))
+    _assert_bitwise(first, kept)
+
+
+def test_classify_threads_match_oracle():
+    # each thread reuses its own workspace; a shared one would mix margins
+    names = ("orthant-4d", "cross-cone-4d", "square-cone-3d", "orthant-3d")
+    kerns = [ProjectionKernel(CATALOG[n], face_lattice(CATALOG[n])) for n in names]
+    draws = [np.random.default_rng(i).standard_normal((20000, k.d))
+             for i, k in enumerate(kerns)]
+    got = [[] for _ in kerns]
+
+    def work(i):
+        for _ in range(5):
+            got[i].append(kerns[i].classify(draws[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(kerns))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for kern, g, results in zip(kerns, draws, got):
+        assert len(results) == 5
+        want = oracle.classify(kern, g)
+        for res in results:
+            _assert_bitwise(res, want)
 
 
 # ---------------------------------------------------------------------------
