@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .arrangement import (
@@ -248,6 +249,9 @@ def _parse_grid(text: str):
     grid = [float(x) for x in text.split(",") if x.strip()]
     if not grid:
         raise ValueError("--t-grid holds no values")
+    for t in grid:
+        if not math.isfinite(t):
+            raise ValueError(f"--t-grid values must be finite, got {t}")
     return grid
 
 

@@ -435,6 +435,11 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be at least 1, got {trials}")
 
 
+def _check_index(k: int, d: int) -> None:
+    if k < 0 or k > d:
+        raise ValueError(f"index k must be in 0..{d}, got {k}")
+
+
 def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
                    cfg: SampleConfig, rng_tag: int, tag: int) -> tuple[float, float]:
     """Mean over Haar rotations Q of vhat_index(combine(C, QD)) and its
@@ -463,8 +468,7 @@ def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     rotation; two-level Monte Carlo."""
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
-    if k < 0 or k > c.d:
-        raise ValueError("index out of range")
+    _check_index(k, c.d)
     d = c.d
     conv, conv_se = _product_iv(c, d_cone, cfg, (12, 13))
     if k > 0:
@@ -486,6 +490,7 @@ def verify_polar_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     kinematic formula."""
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
+    _check_index(k, c.d)
     d = c.d
     conv, conv_se = _product_iv(c, d_cone, cfg, (16, 17))
     lhs, lhs_se = _rotation_mean(c, d_cone, minkowski_sum, d - k, trials, cfg, 18, 19)

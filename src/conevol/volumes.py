@@ -29,17 +29,24 @@ from .cone import cone_from_generators, cone_from_inequalities, normal_face
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
 _CHUNK_FLOATS = 1 << 19
-# per-thread scratch for classify's margins: one buffer reused across calls
-# and kernels, so the hot loop allocates no chunk-sized temporaries; a
-# buffer per kernel would pin up to 4 MiB for every cached kernel
+# faces up to which classify selects the best face by one elementwise
+# pass per face; above it one argmin per draw costs less, because the
+# chunk, and with it each pass, holds fewer rows (table in CHANGES.md)
+_SWEEP_MAX_FACES = 24
+# per-thread scratch for classify's margins: one buffer per dtype reused
+# across calls and kernels, so the hot loop allocates no chunk-sized
+# temporaries; a buffer per kernel would pin up to 4 MiB for every cached
+# kernel
 _workspace = threading.local()
 
 
-def _scratch(n: int) -> np.ndarray:
-    """This thread's workspace, grown to at least n floats."""
-    buf = getattr(_workspace, "buf", None)
+def _scratch(n: int, dtype=np.float64) -> np.ndarray:
+    """This thread's workspace of the given dtype, grown to at least n items."""
+    key = np.dtype(dtype).name
+    buf = getattr(_workspace, key, None)
     if buf is None or buf.size < n:
-        buf = _workspace.buf = np.empty(n)
+        buf = np.empty(n, dtype)
+        setattr(_workspace, key, buf)
     return buf
 
 
@@ -128,6 +135,15 @@ class ProjectionKernel:
     bounds the working set whatever the batch size.  The margins and their
     per-face maxima live in one per-thread workspace shared by every
     kernel, so classifying allocates only the arrays it returns.
+
+    The best face is the first one attaining the largest margin, argmin's
+    tie rule, found by one elementwise pass per face up to
+    _SWEEP_MAX_FACES faces.  A draw is accepted when its best margin
+    exceeds REL_TOL max(|g|, 1) and every other margin is below minus
+    that.  One bound for the whole batch, from the largest |g_i|, is at
+    least every draw's own tolerance, so only the few draws between 0 and
+    that bound need their own norm.  For finite draws both give the same
+    outputs, bit for bit, as a per-draw argmin and per-draw tolerances.
     """
 
     def __init__(self, c: Cone, lattice: FaceLattice):
@@ -187,32 +203,100 @@ class ProjectionKernel:
         nf = len(self.bases)
         ms = self._slots * nf
         best = np.empty(b, dtype=np.intp)
-        m1 = np.empty(b)
+        m1 = np.empty(b)  # m1 and m2 hold minus the margins until the loop ends
         m2 = np.empty(b)
         pn2 = np.empty(b) if pnorm2 else None
-        buf = _scratch((ms + nf) * min(self._chunk, b))
+        rows = min(self._chunk, b)
+        buf = _scratch((ms + nf + 1) * rows)
         for lo in range(0, b, self._chunk):
             hi = min(lo + self._chunk, b)
             r = hi - lo
             gc = g[lo:hi]
-            cols = np.arange(r)
             s = buf[:ms * r].reshape(ms, r)
             np.matmul(self._w, gc.T, out=s)
             s[self._pad] = -np.inf
             # worst constraint per face: minus the face's margin
             t = buf[ms * r:(ms + nf) * r].reshape(nf, r)
             np.max(s.reshape(self._slots, nf, r), axis=0, out=t)
-            k = np.argmin(t, axis=0)
-            m1[lo:hi] = -t[k, cols]
-            t[k, cols] = np.inf
-            m2[lo:hi] = -t.min(axis=0)
-            best[lo:hi] = k
+            k = best[lo:hi]
+            _select(t, k, m1[lo:hi], m2[lo:hi], buf[(ms + nf) * r:(ms + nf + 1) * r])
             if pnorm2:
                 pg = np.einsum("ri,rij->rj", gc, self.projectors[k])
                 pn2[lo:hi] = np.einsum("rj,rj->r", pg, gc)
-        tol = REL_TOL * np.maximum(np.linalg.norm(g, axis=1), 1.0)
-        ok = (m1 > tol) & (m2 < -tol)
-        return best, pn2, ok, (m1, m2)
+        np.negative(m1, out=m1)
+        np.negative(m2, out=m2)
+        return best, pn2, _accept(g, m1, m2), (m1, m2)
+
+
+def _select(t, best, lo1, lo2, tmp):
+    """Per column of t: the first row attaining the minimum into best, the
+    minimum into lo1 and the minimum of the other rows (+inf when there are
+    none) into lo2.  The bits are those of argmin, a gather, and a min with
+    the argmin row set to +inf; tmp is float scratch."""
+    nf, r = t.shape
+    if nf > _SWEEP_MAX_FACES:
+        best[:], lo1[:], lo2[:] = _first_min(t)
+        return
+    if nf == 1:
+        best.fill(0)
+        lo1[:] = t[0]
+        lo2.fill(np.inf)
+        return
+    # the two smallest per column, counted with multiplicity
+    np.minimum(t[0], t[1], out=lo1)
+    np.maximum(t[0], t[1], out=lo2)
+    for j in range(2, nf):
+        np.maximum(lo1, t[j], out=tmp)
+        np.minimum(lo2, tmp, out=lo2)
+        np.minimum(lo1, t[j], out=lo1)
+    # best = the number of rows before the first one equal to the minimum,
+    # counted in bytes: _SWEEP_MAX_FACES is below 256
+    flags = _scratch(2 * r, np.bool_)
+    run, eq = flags[:r], flags[r:2 * r]
+    count = _scratch(r, np.uint8)[:r]
+    count.fill(0)
+    run.fill(True)
+    for j in range(nf - 1):
+        np.not_equal(t[j], lo1, out=eq)
+        np.logical_and(run, eq, out=run)
+        np.add(count, run.view(np.uint8), out=count)
+    best[:] = count
+    # which of +0 and -0 a minimum returns, and where argmin puts a NaN,
+    # depend on the order of comparison: redo those columns as argmin does
+    np.multiply(lo1, lo2, out=tmp)
+    np.abs(tmp, out=tmp)
+    np.greater(tmp, 0.0, out=eq)
+    if not eq.all():
+        z = np.flatnonzero(~eq)
+        best[z], lo1[z], lo2[z] = _first_min(t[:, z])
+
+
+def _first_min(t):
+    """_select by one argmin per column; overwrites t."""
+    cols = np.arange(t.shape[1])
+    k = np.argmin(t, axis=0)
+    lo1 = t[k, cols]
+    t[k, cols] = np.inf
+    return k, lo1, t.min(axis=0)
+
+
+def _accept(g, m1, m2):
+    """ok = (m1 > tol) & (m2 < -tol) with tol = REL_TOL max(|g|, 1) per row.
+
+    sqrt(d) max |g_i| over the batch, raised past rounding, is at least
+    every row's |g|, so its tolerance decides every row with m1 and -m2
+    beyond it; only rows with both margins between 0 and it get their own
+    norm.  A non-finite g makes the bound NaN, which decides no row."""
+    b, d = g.shape
+    top = max(float(g.max()), -float(g.min())) if b else 0.0
+    bound = REL_TOL * max(math.sqrt(d) * top * (1 + 1e-12), 1.0)
+    ok = (m1 > bound) & (m2 < -bound)
+    rest = np.flatnonzero(~ok)
+    rest = rest[(m1[rest] > 0) & (m2[rest] < 0)]
+    if rest.size:
+        tol = REL_TOL * np.maximum(np.linalg.norm(g[rest], axis=1), 1.0)
+        ok[rest] = (m1[rest] > tol) & (m2[rest] < -tol)
+    return ok
 
 
 def _unit_rows(rows, d: int) -> np.ndarray:
@@ -230,6 +314,8 @@ def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.nda
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.d:
         raise ValueError("point dimension does not match the cone")
+    if not np.isfinite(x).all():
+        raise ValueError("point coordinates must be finite")
     idx, _, ok, (m1, m2) = kern.classify(x, pnorm2=False)
     if not ok[0]:
         raise AmbiguousProjection(float(m1[0]), float(m2[0]))
@@ -280,7 +366,9 @@ def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2
             ambiguous += b - n_ok
             if ambiguous > 0.001 * n + 8:
                 raise AmbiguousProjection(float("nan"), float("nan"))
-            if n_ok:
+            if n_ok == b:
+                yield idx, pn2
+            elif n_ok:
                 yield idx[ok], (pn2[ok] if pnorm2 else None)
             need -= n_ok
 

@@ -95,8 +95,9 @@ def test_exit_code_two_on_bad_input(tmp_path):
     code, _, err = run_cli("verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
                            "--t-grid", "12", "--samples", "2000")
     assert code == 2 and "Traceback" not in err
-    # rotation counts below one, a tolerance that is not a positive number
-    # and an empty t-grid are input errors, not failed or vacuous checks
+    # rotation counts below one, a tolerance that is not a positive number,
+    # an empty or non-finite t-grid and a kinematic index outside 0..d are
+    # input errors, not failed or vacuous checks
     pair = [str(FIXTURES / "orthant2.json")] * 2
     square = str(FIXTURES / "square-cone.json")
     for argv, name in (
@@ -107,6 +108,12 @@ def test_exit_code_two_on_bad_input(tmp_path):
         (["sommerville", square, "--tolerance-sigmas", "nan"], "tolerance_sigmas"),
         (["genfun", square, "--t-grid", ""], "t-grid"),
         (["steiner-mgf", square, "--t-grid", ""], "t-grid"),
+        (["genfun", square, "--t-grid", "nan"], "t-grid"),
+        (["genfun", square, "--t-grid", "0.3,inf"], "t-grid"),
+        (["steiner-mgf", square, "--t-grid", "-inf"], "t-grid"),
+        (["kinematic", *pair, "--k", "9"], "index k"),
+        (["polar-kinematic", *pair, "--k", "9"], "index k"),
+        (["polar-kinematic", *pair, "--k", "-1"], "index k"),
     ):
         code, out, err = run_cli("verify", *argv, "--samples", "500")
         assert code == 2 and name in err and "Traceback" not in err and out == "", (argv, err)

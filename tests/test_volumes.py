@@ -421,15 +421,28 @@ def test_fused_classify_matches_reference_random_cones(c, seed):
 # The workspace classifier against the allocating one, bit for bit
 
 
+def _bits(a):
+    """A float array as its bit patterns, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64) if a.dtype.kind == "f" else a
+
+
 def _assert_bitwise(got, want, with_pnorm2=True):
     idx, pn2, ok, (m1, m2) = got
     w_idx, w_pn2, w_ok, (w_m1, w_m2) = want
-    for a, b in ((idx, w_idx), (ok, w_ok), (m1, w_m1), (m2, w_m2)):
-        assert np.array_equal(a, b)
+    pairs = [(idx, w_idx), (ok, w_ok), (m1, w_m1), (m2, w_m2)]
     if with_pnorm2:
-        assert np.array_equal(pn2, w_pn2)
+        pairs.append((pn2, w_pn2))
     else:
         assert pn2 is None
+    for a, b in pairs:
+        assert a.dtype == b.dtype and np.array_equal(_bits(a), _bits(b))
+
+
+def _assert_same_bits(kern, g):
+    """classify equals the oracle in every bit, with and without pnorm2."""
+    want = oracle.classify(kern, g)
+    _assert_bitwise(kern.classify(g), want)
+    _assert_bitwise(kern.classify(g, pnorm2=False), want, with_pnorm2=False)
 
 
 def _batches(kern):
@@ -442,10 +455,7 @@ def test_classify_matches_allocating_oracle_bitwise(name):
     c = CATALOG[name]
     kern = ProjectionKernel(c, face_lattice(c))
     for b in _batches(kern):
-        g = np.random.default_rng(b).standard_normal((b, c.d))
-        want = oracle.classify(kern, g)
-        _assert_bitwise(kern.classify(g), want)
-        _assert_bitwise(kern.classify(g, pnorm2=False), want, with_pnorm2=False)
+        _assert_same_bits(kern, np.random.default_rng(b).standard_normal((b, c.d)))
 
 
 def test_classify_results_do_not_alias_the_workspace():
@@ -490,6 +500,94 @@ def test_classify_threads_match_oracle():
             _assert_bitwise(res, want)
 
 
+def _hard_rows(c, rng, b):
+    """b rows mixing Gaussian draws, small integer points, which often lie
+    on face boundaries or tie two faces' margins at +0 and -0, and
+    duplicates of both."""
+    base = np.vstack([rng.standard_normal((48, c.d)),
+                      rng.integers(-2, 3, (48, c.d)).astype(float)])
+    return base[rng.integers(0, len(base), b)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_small_cones(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_classify_bitwise_on_random_cones(c, seed):
+    kern = ProjectionKernel(c, face_lattice(c))
+    rng = np.random.default_rng(seed)
+    for b in (kern._chunk - 1, kern._chunk + 1, 300):
+        _assert_same_bits(kern, _hard_rows(c, rng, b))
+
+
+# rows of d >= 9 coordinates are summed in another order than short rows in
+# numpy's row norms; orthant-5d's 32 faces exceed _SWEEP_MAX_FACES and take
+# the argmin selection
+_WIDE_CONES = {
+    "wedge-in-10d": cone_from_generators([[1] + [0] * 9, [1, 1] + [0] * 8], [], 10),
+    "halfspace-x-line-9d": cone_from_generators([[0] * 8 + [1]],
+                                                np.eye(9, dtype=int)[:8].tolist(), 9),
+    "orthant-5d": cone_from_generators(np.eye(5, dtype=int).tolist(), [], 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_CONES))
+def test_classify_bitwise_wide_and_many_faced(name):
+    c = _WIDE_CONES[name]
+    kern = ProjectionKernel(c, face_lattice(c))
+    rng = np.random.default_rng(9)
+    for b in sorted({1, kern._chunk - 1, kern._chunk + 1, 5000} - {0}):
+        _assert_same_bits(kern, _hard_rows(c, rng, b))
+
+
+def test_classify_with_non_finite_rows_matches_oracle():
+    # NaN margins take the argmin path, so even they keep argmin's index;
+    # which NaN a min returns is not fixed, so NaNs compare as equal
+    kern = ProjectionKernel(SQUARE, face_lattice(SQUARE))
+    g = np.random.default_rng(2).standard_normal((64, 3))
+    g[5, 1] = np.nan
+    g[9, 0] = np.inf
+    g[17] = [-np.inf, 1.0, 0.0]
+    with np.errstate(invalid="ignore"):
+        got, want = kern.classify(g), oracle.classify(kern, g)
+    for a, b in zip((got[0], got[1], got[2], *got[3]), (want[0], want[1], want[2], *want[3])):
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    fin = np.isfinite(g).all(axis=1)
+    assert not got[2][~fin].any() and got[2][fin].sum() >= 58
+
+
+@pytest.mark.parametrize("c", [ORTHANT2, _WIDE_CONES["halfspace-x-line-9d"]],
+                         ids=["orthant-2d", "halfspace-x-line-9d"])
+def test_exact_tolerance_decides_rows_under_the_batch_bound(c):
+    # one draw of norm 1e6 lifts the batch bound to about 1e-3; draws whose
+    # margins lie between their own tolerance (about 1e-9) and that bound
+    # are decided by their own norms: 1e-6 accepted, 1e-11 rejected
+    d = c.d
+    rng = np.random.default_rng(4)
+    g = np.abs(rng.standard_normal((40, d))) + 1.0
+    g[0] = 1e6
+    g[1:21, -1] = 1e-6
+    g[21:, -1] = 1e-11
+    kern = ProjectionKernel(c, face_lattice(c))
+    _assert_same_bits(kern, g)
+    _, _, ok, (m1, _) = kern.classify(g)
+    bound = REL_TOL * math.sqrt(d) * 1e6
+    assert np.all((m1[1:] > 0) & (m1[1:] < bound))
+    assert ok[:21].all() and not ok[21:].any()
+
+
+def test_batch_bound_covers_rows_with_many_large_coordinates():
+    # |g| = sqrt(8 * 10^2 + e^2) ~ 28.3 while max |g_i| = 10: margins e
+    # around 2.83e-8 straddle the row's own tolerance, so a bound without
+    # the sqrt(d) factor would accept the rows just below it
+    c = _WIDE_CONES["halfspace-x-line-9d"]
+    eps = np.linspace(1e-8, 5e-8, 41)
+    g = np.hstack([np.full((len(eps), 8), 10.0), eps[:, None]])
+    kern = ProjectionKernel(c, face_lattice(c))
+    _assert_same_bits(kern, g)
+    _, _, ok, (m1, _) = kern.classify(g)
+    own = REL_TOL * np.linalg.norm(g, axis=1)
+    assert np.array_equal(ok, m1 > own) and 0 < ok.sum() < len(eps)
+
+
 # ---------------------------------------------------------------------------
 # Ambiguous draws
 
@@ -499,6 +597,13 @@ def test_boundary_draws_are_ambiguous():
     kern = ProjectionKernel(c, face_lattice(c))
     _, _, ok, _ = kern.classify(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert ok.tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_moreau_project_rejects_non_finite_points(bad):
+    c = CATALOG["orthant-3d"]
+    with pytest.raises(ValueError, match="finite"):
+        moreau_project(c, face_lattice(c), [1.0, bad, 2.0])
 
 
 def test_moreau_project_raises_on_boundary():
