@@ -9,8 +9,8 @@ gives its basis.  The Möbius function follows by the standard recursion;
 characteristic polynomials carry exact integer coefficients.  Chambers are
 enumerated by incremental insertion on V-representations with the
 double-description step that converts cones between representations: its
-lineality half `cone._lin_cut` runs once per hyperplane, its ray half
-`cone._dd_step` once per chamber.  Inserting a hyperplane splits exactly
+lineality half `exactlin._lin_cut` runs once per hyperplane, its ray half
+`exactlin._dd_step` once per chamber.  Inserting a hyperplane splits exactly
 the chambers with generators strictly on both sides, decided by exact signs
 on integer vectors.  Regions of dimension j are the chambers of the
 restrictions to j-flats, lifted back to ambient coordinates.  Each region's
@@ -26,28 +26,24 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import (
-    Cone,
-    InvariantViolation,
-    _dd_step,
-    _json_dim,
-    _lift,
-    _lin_cut,
-    _unit_echelon,
-)
+from .cone import Cone, InvariantViolation, _json_dim
 from .exactlin import (
     Echelon,
     IntVec,
     Mat,
     Subspace,
+    _dd_step,
     _echelon,
     _idot,
     _int_mat,
     _int_vec,
     _ireduce,
+    _lift,
+    _lin_cut,
     _prim,
     _rational,
     _rref_rows,
+    _unit_echelon,
     full_space,
     is_zero,
     kernel,
@@ -499,7 +495,7 @@ def chambers(a: Arrangement) -> list[Region]:
     Incremental insertion: each chamber carries its extreme rays (with
     on-hyperplane bitmasks) modulo the running common lineality, and each
     hyperplane is inserted by the double-description step
-    (`cone._lin_cut`, then `cone._dd_step` per chamber) that also converts
+    (`exactlin._lin_cut`, then `exactlin._dd_step` per chamber) that also converts
     cones between representations.  A hyperplane splits a chamber iff both
     halves have a ray strictly off it.  The chambers are the regions of the
     ambient flat, built as in `regions_j`.

@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
             reports.append(verify_klivans_swartz(a, j, cfg))
     elif ident == "generic-slice":
         a = _load_arrangement(args)
-        reports.append(verify_generic_slice(a, args.j if args.j else a.d, seed=args.seed))
+        reports.append(verify_generic_slice(a, a.d if args.j is None else args.j, seed=args.seed))
     elif ident == "hug-schneider":
         if args.n is None or args.d is None:
             raise ValueError("hug-schneider requires --n and --d")

@@ -14,25 +14,16 @@ index set into its parent's two representations: the generators it
 contains and the inequalities active on it.  Its own cone is built only
 when read.  The normal face F -> C° ∩ lin(F)^perp swaps the two index
 sets, as `polar` swaps the two representations, because the polar's
-generators are the parent's inequalities in order.  Conversion
-between the representations is done by the double description method
-(Fukuda–Prodon), processing one halfspace at a time.  A step has two
-halves.  `_lin_cut` splits off the lineality direction the hyperplane
-crosses; it depends only on the hyperplane, so chamber enumeration computes
-it once for all chambers.  `_dd_step` then partitions the rays into +/0/−
-by sign and joins adjacent +/− pairs, where the combinatorial adjacency
-test is applied modulo the current lineality space, which keeps the
-working cone pointed in the quotient.  `_dd_step` returns both closed
-halves of the cut; conversion keeps the <= 0 half, and chamber enumeration
-in `arrangement` keeps every half that is not flat on the hyperplane.
+generators are the parent's inequalities in order.  Conversion between the
+representations is the double description `exactlin._dd`, on Python
+``int`` vectors; the ``Fraction`` fields of `Cone` are formed in `_dd` and
+`_from_vrep`, and for region cones in `arrangement`.
 
-The steps run on Python ``int`` vectors (see `exactlin`).  Invariant: every
-integer vector is a positive multiple of the rational vector the same
-algorithm would hold over ``Fraction``, and every lineality row a positive
-multiple of its RREF row.  Signs, zero sets, adjacency decisions and
-primitive representatives are therefore unchanged, and so is every ray
-order and every output.  The ``Fraction`` fields of `Cone` are formed in
-`_dd` and `_from_vrep`, and for region cones in `arrangement`.
+Strict feasibility, `exactlin.lp_strictly_feasible`, runs on the same
+double description.  `transverse` asks it whether relint(F) ∩ relint(G) is
+nonempty, with the strict rows read off the parents' inequalities, so no
+face cone is built; `farkas_check` asks it for the primal side of the
+Farkas equivalence.
 """
 
 from __future__ import annotations
@@ -40,32 +31,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
 
 from .exactlin import (
-    Echelon,
-    IntVec,
     Mat,
     Subspace,
+    _canon_rays,
+    _dd,
     _echelon,
     _idot,
-    _int_mat,
     _int_vec,
-    _ireduce,
-    _prim,
     _rational,
-    _rref_rows,
     dot,
     is_zero,
     kernel,
     lp_strictly_feasible,
     mat,
-    project_off,
+    orthogonal_complement,
     subspace_from_rows,
     subspace_intersection,
     vec,
-    zero_subspace,
 )
 
 
@@ -146,134 +130,6 @@ class FaceLattice:
 def _masked(rows: Mat, mask: int) -> Mat:
     """The rows whose bits are set in mask, in order."""
     return tuple(r for i, r in enumerate(rows) if mask >> i & 1)
-
-
-def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
-    out = []
-    seen = set()
-    for r in rays:
-        rr = _prim(_ireduce(r, lin))
-        if any(rr) and rr not in seen:
-            seen.add(rr)
-            out.append(rr)
-    return sorted(out)
-
-
-def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: IntVec) -> Sequence[int]:
-    """Project r along u onto <a, x> = 0, where s0 = <a, u> > 0: the positive
-    multiple s0 r - <a, r> u of r - (<a, r> / s0) u."""
-    s = _idot(a, r)
-    return [s0 * x - s * y for x, y in zip(r, u)] if s else r
-
-
-def _lin_cut(lin: Echelon, a: IntVec):
-    """The lineality half of a DD step, shared by every cone cut by <a, x> = 0.
-
-    Returns (lineality, cut).  cut is None when the lineality lies inside
-    the hyperplane.  Otherwise a lineality direction u with <a, u> > 0
-    crosses it: the new lineality is the old one projected along u onto the
-    hyperplane, and cut = (u, <a, u>, ray) with ray the image of u modulo the
-    new lineality, which becomes a ray on the + side and, negated, on the -.
-    """
-    for i, (_, v) in enumerate(lin):
-        s0 = _idot(a, v)
-        if s0:
-            break
-    else:
-        return lin, None
-    u = v if s0 > 0 else tuple(-x for x in v)
-    s0 = abs(s0)
-    new_lin = _echelon(_onto(row, u, s0, a) for k, (_, row) in enumerate(lin) if k != i)
-    return new_lin, (u, s0, _prim(_ireduce(u, new_lin)))
-
-
-def _dd_step(rays, lin: Echelon, cut, a: IntVec, t: int):
-    """The ray half of a DD step: cut lin + cone(rays) by <a, x> = 0.
-
-    Rays are (vector, zero-set bitmask) pairs, taken modulo lin, the
-    lineality that `_lin_cut` returned for the same hyperplane along with
-    cut.  Returns (plus, minus): the ray lists of the closed halves
-    <a, x> >= 0 and <a, x> <= 0.  Bit t is set exactly on the rays lying
-    on the hyperplane, so a half whose rays all carry bit t lies inside it.
-    """
-    bit = 1 << t
-    if cut is not None:
-        # every ray is moved along u onto the hyperplane; ±u, modulo the new
-        # lineality, is one new ray on each side
-        u, s0, up = cut
-        on = [(_prim(_ireduce(_onto(r, u, s0, a), lin)), z | bit) for r, z in rays]
-        down = tuple(-x for x in up)
-        return on + [(up, bit - 1)], on + [(down, bit - 1)]
-    # lineality is inside the hyperplane; split the pointed part
-    plus, zero, minus = [], [], []
-    for idx, (r, z) in enumerate(rays):
-        s = _idot(a, r)
-        if s > 0:
-            plus.append((idx, r, z, s))
-        elif s < 0:
-            minus.append((idx, r, z, s))
-        else:
-            zero.append((r, z | bit))
-    # a new ray lies on the hyperplane: it can only repeat a zero or new ray
-    seen = {r for r, _ in zero}
-    for ip, rp, zp, sp in plus:
-        for im, rm, zm, sm in minus:
-            common = zp & zm
-            adjacent = True
-            for i3, (_, z3) in enumerate(rays):
-                if i3 != ip and i3 != im and common & z3 == common:
-                    adjacent = False
-                    break
-            if adjacent:
-                w = _prim([sp * x - sm * y for x, y in zip(rm, rp)])
-                if w not in seen:
-                    seen.add(w)
-                    zero.append((w, common | bit))
-    return (
-        [(r, z) for _, r, z, _ in plus] + zero,
-        [(r, z) for _, r, z, _ in minus] + zero,
-    )
-
-
-def _unit_echelon(m: int) -> Echelon:
-    return [(i, tuple(int(j == i) for j in range(m))) for i in range(m)]
-
-
-def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
-    """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}.
-
-    Returns (extreme rays, lineality subspace), both canonicalized.  The
-    basis of {eq_rows.x = 0} is scaled to integers by one common positive
-    denominator, so coordinates in it change by a global positive scalar
-    only.
-    """
-    amb = kernel(eq_rows, d)
-    if amb.dim == 0:
-        return (), zero_subspace(d)
-    basis = _int_mat(amb.basis)
-    cons = []
-    seen = set()
-    for a in ineqs:
-        a = _int_vec(a)
-        ap = _prim([_idot(row, a) for row in basis])
-        if any(ap) and ap not in seen:
-            seen.add(ap)
-            cons.append(ap)
-
-    lin = _unit_echelon(amb.dim)
-    rays: list[tuple[IntVec, int]] = []
-    for t, a in enumerate(cons):
-        lin, cut = _lin_cut(lin, a)
-        _, rays = _dd_step(rays, lin, cut, a, t)
-
-    lin_ambient = _echelon(_lift(row, basis) for _, row in lin)
-    rays = _canon_rays([_lift(r, basis) for r, _ in rays], lin_ambient)
-    return _rational(rays), Subspace(d, _rref_rows(lin_ambient))
-
-
-def _lift(y, basis) -> tuple:
-    """Map coordinates in a subspace basis back to ambient space."""
-    return tuple(sum(map(mul, y, col)) for col in zip(*basis))
 
 
 def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
@@ -418,8 +274,9 @@ def canonical_decomposition(c: Cone) -> tuple[Subspace, Cone]:
     lin = c.lineality
     if lin.dim == 0:
         return lin, c
-    proj = [project_off(lin.basis, g) for g in c.generators]
-    return lin, cone_from_generators(proj, (), c.d)
+    # C/L is C ∩ L^perp: the same inequalities, with lin(C) cut out
+    rays, plin = _dd(c.inequalities, c.equalities + lin.basis, c.d)
+    return lin, _from_vrep(rays, plin, c.d)
 
 
 def intersect(c: Cone, other: Cone) -> Cone:
@@ -464,16 +321,12 @@ def farkas_check(c: Cone, l: Subspace) -> bool:
     """
     if l.dim_ambient != c.d:
         raise ValueError("ambient dimensions differ")
-    # primal: does some x in lin(C) ∩ L satisfy every facet strictly?
+    # primal: does some x in lin(C) ∩ L satisfy every facet strictly?  A
+    # subspace C has no facets, so 0 does; in lin(C) ∩ L = {0} no facet can
     s = subspace_intersection(c.span, l)
-    if not c.inequalities:
-        primal_empty = False  # C is a subspace; 0 lies in relint(C) ∩ L
-    elif s.dim == 0:
-        primal_empty = True
-    else:
-        strict = [tuple(-dot(row, a) for row in s.basis) for a in c.inequalities]
-        primal_empty = not lp_strictly_feasible(strict, s.dim)
-    dual_cone = intersect(polar(c), subspace_cone(orthogonal_complement_of(l)))
+    strict = [tuple(-dot(row, a) for row in s.basis) for a in c.inequalities]
+    primal_empty = not lp_strictly_feasible(strict, s.dim)
+    dual_cone = intersect(polar(c), subspace_cone(orthogonal_complement(l)))
     # lineality of the dual cone always sits inside lin(C)^perp; only a
     # generator outside lin(C)^perp certifies proper separation
     lin_c_perp = Subspace(c.d, c.equalities)
@@ -488,24 +341,25 @@ def farkas_check(c: Cone, l: Subspace) -> bool:
     return primal_empty
 
 
-def orthogonal_complement_of(s: Subspace) -> Subspace:
-    return kernel(s.basis, s.dim_ambient)
-
-
 def transverse(f: Face, g: Face) -> bool:
-    """Whether two faces intersect transversely (relints meet, dims add)."""
+    """Whether two faces intersect transversely (relints meet, dims add).
+
+    relint(F) is span F with every parent inequality not active on F strict,
+    so the test reads the parents' rows and builds no face cone.
+    """
     if f.parent.d != g.parent.d:
         raise ValueError("ambient dimensions differ")
     d = f.parent.d
     s = subspace_intersection(f.span, g.span)
     if f.dim + g.dim - d != s.dim:
         return False
-    strict = []
-    for cone in (f.cone, g.cone):
-        for a in cone.inequalities:
-            strict.append(tuple(-dot(row, a) for row in s.basis))
-    if s.dim == 0:
-        return not strict  # only subspaces have 0 in their relative interior
+    strict = [
+        tuple(-dot(row, a) for row in s.basis)
+        for face in (f, g)
+        for i, a in enumerate(face.parent.inequalities)
+        if i not in face.active
+    ]
+    # on s = {0} this holds iff both faces are subspaces (no strict rows)
     return lp_strictly_feasible(strict, s.dim)
 
 

@@ -1,4 +1,5 @@
-"""Exact rational linear algebra and LP feasibility primitives.
+"""Exact linear algebra: row reduction, kernels, double description and
+strict feasibility.
 
 All combinatorial layers of the package run over exact arithmetic; floating
 point enters only in the Monte Carlo modules.  At the API, vectors are
@@ -8,13 +9,34 @@ form of the row space, so subspace equality is basis equality and
 subspaces can be used as dictionary keys.
 
 Inside, the elimination behind `rref` and `kernel`, the double description
-steps of `cone` and the chamber insertion of `arrangement` run on coprime
+that `cone` and `arrangement` share, and strict feasibility run on coprime
 Python ``int`` vectors: a rational vector is scaled by the lcm of its
 denominators, and a basis is kept as an echelon of integer rows that are
 positive multiples of the RREF rows (fraction-free Gauss–Jordan, each new
 row divided by its content).  Positive scaling changes no sign and no
 direction, and ``Fraction`` values are formed only where results leave
 these routines.
+
+`_dd` converts {x : ineqs.x <= 0, eq_rows.x = 0} to extreme rays plus a
+lineality space by the double description method (Fukuda–Prodon),
+processing one halfspace at a time.  A step has two halves.  `_lin_cut`
+splits off the lineality direction the hyperplane crosses; it depends only
+on the hyperplane, so chamber enumeration computes it once for all
+chambers.  `_dd_step` then partitions the rays into +/0/− by sign and joins
+adjacent +/− pairs, where the combinatorial adjacency test is applied
+modulo the current lineality space, which keeps the working cone pointed in
+the quotient.  `_dd_step` returns both closed halves of the cut; conversion
+keeps the <= 0 half, and chamber enumeration in `arrangement` keeps every
+half that is not flat on the hyperplane.  Invariant: every integer vector
+is a positive multiple of the rational vector the same algorithm would hold
+over ``Fraction``, and every lineality row a positive multiple of its RREF
+row.  Signs, zero sets, adjacency decisions and primitive representatives
+are therefore unchanged, and so is every ray order and every output.
+
+`lp_strictly_feasible` decides whether rows a_i admit an x with every
+<a_i, x> > 0 by the same double description, so one exact engine answers
+every feasibility question of the cone layer: Farkas checks and
+transversality of faces.
 """
 
 from __future__ import annotations
@@ -273,168 +295,150 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return kernel(rows, a.dim_ambient)
 
 
-def solve(a_rows: Mat, b: Vec) -> Vec | None:
-    """Solve the square system A x = b; None if A is singular."""
-    n = len(a_rows)
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    for col in range(n):
-        pr = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pr is None:
-            return None
-        aug[col], aug[pr] = aug[pr], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
-def project_off(basis: Mat, v: Vec) -> Vec:
-    """Orthogonal projection of v onto the complement of span(basis rows)."""
-    if not basis:
-        return vec(v)
-    gram = tuple(tuple(dot(r, s) for s in basis) for r in basis)
-    rhs = tuple(dot(r, v) for r in basis)
-    w = solve(gram, rhs)
-    assert w is not None  # basis rows are independent
-    out = list(vec(v))
-    for wi, row in zip(w, basis):
-        out = [a - wi * b for a, b in zip(out, row)]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
-# Exact simplex (Bland's rule) and the strict-feasibility test.
+# Double description on integer vectors.
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
-    piv = tab[row]
-    for r in range(len(tab)):
-        if r != row and tab[r][col] != 0:
-            f = tab[r][col]
-            tab[r] = [a - f * b for a, b in zip(tab[r], piv)]
-    basis[row] = col
+def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
+    out = []
+    seen = set()
+    for r in rays:
+        rr = _prim(_ireduce(r, lin))
+        if any(rr) and rr not in seen:
+            seen.add(rr)
+            out.append(rr)
+    return sorted(out)
 
 
-def _optimize(tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> Fraction:
-    """Run primal simplex (Bland's rule) to optimality; returns the optimum.
+def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: IntVec) -> Sequence[int]:
+    """Project r along u onto <a, x> = 0, where s0 = <a, u> > 0: the positive
+    multiple s0 r - <a, r> u of r - (<a, r> / s0) u."""
+    s = _idot(a, r)
+    return [s0 * x - s * y for x, y in zip(r, u)] if s else r
 
-    tab holds m constraint rows [coeffs..., rhs] in canonical form for the
-    current basis; cost holds the objective coefficients (maximization).
-    Bland's smallest-index rule guarantees termination without perturbation.
+
+def _lin_cut(lin: Echelon, a: IntVec):
+    """The lineality half of a DD step, shared by every cone cut by <a, x> = 0.
+
+    Returns (lineality, cut).  cut is None when the lineality lies inside
+    the hyperplane.  Otherwise a lineality direction u with <a, u> > 0
+    crosses it: the new lineality is the old one projected along u onto the
+    hyperplane, and cut = (u, <a, u>, ray) with ray the image of u modulo the
+    new lineality, which becomes a ray on the + side and, negated, on the -.
     """
-    m = len(tab)
-    ncols = len(cost)
-    # reduced cost row: r_j = cost_j - cost_B . column_j, rhs = objective value
-    z = list(cost) + [ZERO]
-    for i in range(m):
-        cb = cost[basis[i]]
-        if cb != 0:
-            z = [a - cb * b for a, b in zip(z, tab[i])]
-    while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), None)
-        if enter is None:
-            return -z[ncols]
-        leave = None
-        best = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][ncols] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("unbounded LP")
-        _pivot(tab, basis, leave, enter)
-        f = z[enter]
-        z = [a - f * b for a, b in zip(z, tab[leave])]
+    for i, (_, v) in enumerate(lin):
+        s0 = _idot(a, v)
+        if s0:
+            break
+    else:
+        return lin, None
+    u = v if s0 > 0 else tuple(-x for x in v)
+    s0 = abs(s0)
+    new_lin = _echelon(_onto(row, u, s0, a) for k, (_, row) in enumerate(lin) if k != i)
+    return new_lin, (u, s0, _prim(_ireduce(u, new_lin)))
 
 
-def simplex_max(a_rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction],
-                c: Sequence[Fraction]) -> Fraction | None:
-    """Maximize c.x subject to A x <= b, x >= 0, exactly.
+def _dd_step(rays, lin: Echelon, cut, a: IntVec, t: int):
+    """The ray half of a DD step: cut lin + cone(rays) by <a, x> = 0.
 
-    Returns the optimum, or None if infeasible.  Raises ArithmeticError on
-    an unbounded objective.  Two-phase tableau method with Bland's rule.
+    Rays are (vector, zero-set bitmask) pairs, taken modulo lin, the
+    lineality that `_lin_cut` returned for the same hyperplane along with
+    cut.  Returns (plus, minus): the ray lists of the closed halves
+    <a, x> >= 0 and <a, x> <= 0.  Bit t is set exactly on the rays lying
+    on the hyperplane, so a half whose rays all carry bit t lies inside it.
     """
-    m = len(a_rows)
-    n = len(c)
-    nslack = m
-    neg = [i for i in range(m) if b[i] < 0]
-    nart = len(neg)
-    ncols = n + nslack + nart
-    tab: list[list[Fraction]] = []
-    art_at = {}
-    k = 0
-    for i in range(m):
-        row = [rat(x) for x in a_rows[i]] + [ZERO] * (nslack + nart) + [rat(b[i])]
-        row[n + i] = ONE
-        if b[i] < 0:
-            row = [-x for x in row]
-            row[n + nslack + k] = ONE
-            art_at[i] = n + nslack + k
-            k += 1
-        tab.append(row)
-    basis = [art_at.get(i, n + i) for i in range(m)]
-    if nart:
-        cost1 = [ZERO] * ncols
-        for j in range(n + nslack, ncols):
-            cost1[j] = -ONE
-        opt1 = _optimize(tab, basis, cost1)
-        if opt1 != 0:
-            return None
-        # pivot any artificial still in the basis out on a nonartificial column
-        for i in range(m):
-            if basis[i] >= n + nslack:
-                col = next((j for j in range(n + nslack) if tab[i][j] != 0), None)
-                if col is not None:
-                    _pivot(tab, basis, i, col)
-        # drop the artificial columns (rhs stays at the end)
-        for row in tab:
-            del row[n + nslack:ncols]
-        ncols = n + nslack
-        if any(bv >= ncols for bv in basis):
-            keep = [i for i in range(m) if basis[i] < ncols]
-            tab = [tab[i] for i in keep]
-            basis = [basis[i] for i in keep]
-    cost2 = [rat(x) for x in c] + [ZERO] * (len(tab[0]) - 1 - n if tab else nslack)
-    return _optimize(tab, basis, cost2)
+    bit = 1 << t
+    if cut is not None:
+        # every ray is moved along u onto the hyperplane; ±u, modulo the new
+        # lineality, is one new ray on each side
+        u, s0, up = cut
+        on = [(_prim(_ireduce(_onto(r, u, s0, a), lin)), z | bit) for r, z in rays]
+        down = tuple(-x for x in up)
+        return on + [(up, bit - 1)], on + [(down, bit - 1)]
+    # lineality is inside the hyperplane; split the pointed part
+    plus, zero, minus = [], [], []
+    for idx, (r, z) in enumerate(rays):
+        s = _idot(a, r)
+        if s > 0:
+            plus.append((idx, r, z, s))
+        elif s < 0:
+            minus.append((idx, r, z, s))
+        else:
+            zero.append((r, z | bit))
+    # a new ray lies on the hyperplane: it can only repeat a zero or new ray
+    seen = {r for r, _ in zero}
+    for ip, rp, zp, sp in plus:
+        for im, rm, zm, sm in minus:
+            common = zp & zm
+            adjacent = True
+            for i3, (_, z3) in enumerate(rays):
+                if i3 != ip and i3 != im and common & z3 == common:
+                    adjacent = False
+                    break
+            if adjacent:
+                w = _prim([sp * x - sm * y for x, y in zip(rm, rp)])
+                if w not in seen:
+                    seen.add(w)
+                    zero.append((w, common | bit))
+    return (
+        [(r, z) for _, r, z, _ in plus] + zero,
+        [(r, z) for _, r, z, _ in minus] + zero,
+    )
+
+
+def _unit_echelon(m: int) -> Echelon:
+    return [(i, tuple(int(j == i) for j in range(m))) for i in range(m)]
+
+
+def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
+    """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}.
+
+    Returns (extreme rays, lineality subspace), both canonicalized.  The
+    basis of {eq_rows.x = 0} is scaled to integers by one common positive
+    denominator, so coordinates in it change by a global positive scalar
+    only.
+    """
+    amb = kernel(eq_rows, d)
+    if amb.dim == 0:
+        return (), zero_subspace(d)
+    basis = _int_mat(amb.basis)
+    cons = []
+    seen = set()
+    for a in ineqs:
+        a = _int_vec(a)
+        ap = _prim([_idot(row, a) for row in basis])
+        if any(ap) and ap not in seen:
+            seen.add(ap)
+            cons.append(ap)
+
+    lin = _unit_echelon(amb.dim)
+    rays: list[tuple[IntVec, int]] = []
+    for t, a in enumerate(cons):
+        lin, cut = _lin_cut(lin, a)
+        _, rays = _dd_step(rays, lin, cut, a, t)
+
+    lin_ambient = _echelon(_lift(row, basis) for _, row in lin)
+    rays = _canon_rays([_lift(r, basis) for r, _ in rays], lin_ambient)
+    return _rational(rays), Subspace(d, _rref_rows(lin_ambient))
+
+
+def _lift(y, basis) -> tuple:
+    """Map coordinates in a subspace basis back to ambient space."""
+    return tuple(sum(map(mul, y, col)) for col in zip(*basis))
 
 
 def lp_strictly_feasible(strict: Sequence[Sequence[Fraction]], ambient_dim: int) -> bool:
     """Exact test for existence of x with <a_i, x> > 0 for all given a_i.
 
-    Maximizes t subject to <a_i, x> >= t and -1 <= x_j <= 1 by rational
-    simplex; the open system is feasible iff the optimum is positive.  An
-    empty constraint list is vacuously feasible (witnessed by x = 0).
+    Runs the double description of the closed cone {x : <a_i, x> >= 0}.  Its
+    lineality space is orthogonal to every a_i, so a_i is positive somewhere
+    on the cone iff it is positive on an extreme ray, and then the sum of the
+    extreme rays satisfies every strict inequality at once.  A zero row is
+    never satisfied; an empty list is vacuously feasible (witnessed by x = 0).
     """
     normals = [vec(a) for a in strict]
     for a in normals:
         if len(a) != ambient_dim:
             raise ValueError("normal length does not match ambient dimension")
-    if not normals:
-        return True
-    d = ambient_dim
-    # variables: u_1..u_d = x + 1 in [0, 2], then t+ and t-
-    n = d + 2
-    a_rows = []
-    b = []
-    for a in normals:
-        # t - <a, u - 1> <= 0
-        a_rows.append([-x for x in a] + [ONE, -ONE])
-        b.append(-sum(a, ZERO))
-    for j in range(d):
-        row = [ZERO] * n
-        row[j] = ONE
-        a_rows.append(row)
-        b.append(Fraction(2))
-    c = [ZERO] * d + [ONE, -ONE]
-    opt = simplex_max(a_rows, b, c)
-    assert opt is not None  # x = 0, t = 0 is always feasible
-    return opt > 0
+    rays, _ = _dd([tuple(-x for x in a) for a in normals], (), ambient_dim)
+    return all(any(dot(a, r) > 0 for r in rays) for a in normals)

@@ -35,12 +35,12 @@ from conevol.catalog import build_arrangements
 from conevol.cone import (
     InvariantViolation,
     _from_vrep,
-    _lift,
     cone_from_generators,
     cone_from_inequalities,
 )
-from conevol.exactlin import dot, lp_strictly_feasible, subspace_from_rows, vec
+from conevol.exactlin import _lift, dot, subspace_from_rows, vec
 
+import exact_oracles as oracle
 from arrangement_oracles import (
     arr_product,
     rational_lattice,
@@ -55,7 +55,7 @@ THREE_LINES = arrangement([[1, 0], [0, 1], [1, 1]], 2)
 
 def lp_chamber_signs(a: Arrangement) -> set:
     """Independent chamber enumerator: incremental insertion with
-    per-side strict-feasibility LP tests."""
+    per-side strict-feasibility tests by the rational simplex."""
     chams = [()]
     for t in range(len(a.normals)):
         new = []
@@ -65,7 +65,7 @@ def lp_chamber_signs(a: Arrangement) -> set:
                     tuple(sg * x for x in a.normals[i])
                     for i, sg in enumerate(signs + (s,))
                 ]
-                if lp_strictly_feasible(system, a.d):
+                if oracle.rational_lp_strictly_feasible(system, a.d):
                     new.append(signs + (s,))
         chams = new
     return set(chams)

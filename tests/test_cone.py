@@ -27,7 +27,16 @@ from conevol.cone import (
     subspace_cone,
     transverse,
 )
-from conevol.exactlin import dot, full_space, mat, rank, subspace_from_rows, vec
+from conevol.exactlin import (
+    dot,
+    full_space,
+    lp_strictly_feasible,
+    mat,
+    rank,
+    subspace_from_rows,
+    subspace_intersection,
+    vec,
+)
 from conevol.identities import _normal_of, _tangent_of
 from conevol.volumes import tangent_cone
 
@@ -203,6 +212,22 @@ def test_canonical_decomposition():
     assert minkowski_sum(subspace_cone(lin), pointed) == halfplane
 
 
+def test_canonical_decomposition_matches_projection_route():
+    # C ∩ lin(C)^perp by one double description against the generators
+    # projected off lin(C) by a rational Gram solve
+    rng = random.Random(17)
+    with_lineality = []
+    while len(with_lineality) < 40:
+        d = rng.randint(2, 4)
+        gens = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(0, d + 1))]
+        lin = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(1, 2))]
+        c = cone_from_generators([g for g in gens if any(g)], [v for v in lin if any(v)], d)
+        if c.lineality_dim:
+            with_lineality.append(c)
+    for c in [c for _, c in build_cones()] + with_lineality:
+        assert canonical_decomposition(c) == oracle.canonical_decomposition(c), c
+
+
 def test_shifted_f_vector_of_lineality_cone():
     # f(L + C/L) is the f-vector of C/L shifted by dim L
     c = cone_from_generators([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], 3)
@@ -252,7 +277,19 @@ def test_farkas_random_consistency():
         gens = [g for g in gens if any(g)]
         c = cone_from_generators(gens, [], d)
         rows = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(0, 2))]
-        farkas_check(c, subspace_from_rows([r for r in rows if any(r)], d))
+        l = subspace_from_rows([r for r in rows if any(r)], d)
+        assert farkas_check(c, l) is _rational_relint_misses(c, l)
+
+
+def _rational_relint_misses(c, l):
+    """relint(C) ∩ L = ∅, by the rational simplex on lin(C) ∩ L."""
+    s = subspace_intersection(c.span, l)
+    if not c.inequalities:
+        return False
+    if s.dim == 0:
+        return True
+    strict = [tuple(-dot(row, a) for row in s.basis) for a in c.inequalities]
+    return not oracle.rational_lp_strictly_feasible(strict, s.dim)
 
 
 def test_transverse_full_spaces():
@@ -273,6 +310,41 @@ def test_transverse_opposite_orthants():
     fo = face_lattice(ORTHANT2).faces[-1]
     fn = face_lattice(neg).faces[-1]
     assert transverse(fo, fn) is False
+
+
+def _face_cone_transverse(f, g):
+    """Transversality with the strict rows of the face cones themselves."""
+    d = f.parent.d
+    s = subspace_intersection(f.span, g.span)
+    if f.dim + g.dim - d != s.dim:
+        return False
+    strict = [tuple(-dot(row, a) for row in s.basis)
+              for cone in (f.cone, g.cone) for a in cone.inequalities]
+    if s.dim == 0:
+        return not strict
+    return lp_strictly_feasible(strict, s.dim)
+
+
+def test_transverse_builds_no_face_cone(monkeypatch):
+    # every face pair of every catalog cone pair of equal d: transverse reads
+    # the parents' rows only, and its verdict is the face-cone route's
+    calls = []
+    real = cone_module._from_vrep
+    monkeypatch.setattr(cone_module, "_from_vrep", lambda *a: calls.append(a) or real(*a))
+    cones = build_cones()
+    transverse_pairs = 0
+    for (na, a), (nb, b) in itertools.combinations_with_replacement(cones, 2):
+        if a.d != b.d:
+            continue
+        fa, fb = face_lattice(a), face_lattice(b)
+        for f in fa.faces:
+            for g in fb.faces:
+                calls.clear()
+                got = transverse(f, g)
+                assert calls == [], (na, nb)
+                assert got is _face_cone_transverse(f, g), (na, nb, f.gen_mask, g.gen_mask)
+                transverse_pairs += got
+    assert transverse_pairs == 254
 
 
 def test_fuzz_cone_invariants():

@@ -18,7 +18,6 @@ from conevol.exactlin import (
     rank,
     rref,
     sign_canonical,
-    simplex_max,
     subspace_from_rows,
     subspace_intersection,
     vec,
@@ -192,9 +191,30 @@ def test_lp_agrees_with_sampling_oracle():
             assert not sampled_hit
 
 
+@st.composite
+def _strict_systems(draw):
+    """Up to 8 integer rows in d <= 5, with zero rows and ± pairs."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
+    rows = draw(st.lists(row, max_size=8))
+    for i in draw(st.lists(st.integers(min_value=1, max_value=7), max_size=3)):
+        if i < len(rows):
+            rows[i] = [-x for x in rows[i - 1]]
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(min_value=0, max_value=len(rows) - 1))] = [0] * d
+    return d, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_strict_systems())
+def test_lp_matches_rational_simplex(case):
+    d, rows = case
+    assert lp_strictly_feasible(rows, d) is oracle.rational_lp_strictly_feasible(rows, d)
+
+
 def test_simplex_textbook():
-    # max x + y s.t. x <= 2, y <= 3, x + y <= 4
-    opt = simplex_max([[1, 0], [0, 1], [1, 1]], [2, 3, 4], [1, 1])
+    # the rational simplex oracle: max x + y s.t. x <= 2, y <= 3, x + y <= 4
+    opt = oracle.simplex_max([[1, 0], [0, 1], [1, 1]], [2, 3, 4], [1, 1])
     assert opt == 4
     # infeasible: x <= -1 with x >= 0
-    assert simplex_max([[1]], [-1], [0]) is None
+    assert oracle.simplex_max([[1]], [-1], [0]) is None
