@@ -273,12 +273,9 @@ def intersection_lattice(a: Arrangement) -> IntersectionLattice:
 
 
 def char_poly(a: Arrangement, lattice: IntersectionLattice | None = None) -> Polynomial:
-    """chi(t) = sum over flats of mu(R^d, L) t^{dim L}."""
-    lat = lattice or intersection_lattice(a)
-    coeffs = [0] * (a.d + 1)
-    for y, f in enumerate(lat.flats):
-        coeffs[f.dim] += lat.mu(0, y)
-    return Polynomial.of(coeffs)
+    """chi(t) = sum over flats of mu(R^d, L) t^{dim L}: the level-d
+    polynomial, since R^d is the only d-flat."""
+    return level_char_poly(a, a.d, lattice)
 
 
 def level_char_poly(a: Arrangement, j: int,

@@ -327,6 +327,18 @@ def _cmd_suite(args) -> int:
     return 0 if payload["n_fail"] == 0 else 1
 
 
+_COMMANDS = {
+    "cone-info": _cmd_cone_info,
+    "cone-iv": _cmd_cone_iv,
+    "cone-polar": _cmd_cone_polar,
+    "arr-chi": _cmd_arr_chi,
+    "arr-regions": _cmd_arr_regions,
+    "arr-family": _cmd_arr_family,
+    "verify": _cmd_verify,
+    "suite": _cmd_suite,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -334,23 +346,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.verb == "cone-info":
-            return _cmd_cone_info(args)
-        if args.verb == "cone-iv":
-            return _cmd_cone_iv(args)
-        if args.verb == "cone-polar":
-            return _cmd_cone_polar(args)
-        if args.verb == "arr-chi":
-            return _cmd_arr_chi(args)
-        if args.verb == "arr-regions":
-            return _cmd_arr_regions(args)
-        if args.verb == "arr-family":
-            return _cmd_arr_family(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        if args.verb == "suite":
-            return _cmd_suite(args)
-        raise ValueError(f"unknown verb {args.verb!r}")
+        return _COMMANDS[args.verb](args)
     except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -350,9 +350,11 @@ def transverse(f: Face, g: Face) -> bool:
     if f.parent.d != g.parent.d:
         raise ValueError("ambient dimensions differ")
     d = f.parent.d
-    s = subspace_intersection(f.span, g.span)
-    if f.dim + g.dim - d != s.dim:
+    # dims add iff span F + span G = R^d, since dim(U ∩ W) = dim U + dim W
+    # - dim(U + W); one echelon rejects most pairs before the intersection
+    if len(_echelon(map(_int_vec, f.span.basis + g.span.basis))) != d:
         return False
+    s = subspace_intersection(f.span, g.span)
     strict = [
         tuple(-dot(row, a) for row in s.basis)
         for face in (f, g)

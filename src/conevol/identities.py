@@ -9,6 +9,11 @@ combined in quadrature across independent estimates and floored at
 regions included), so the checks exercise the estimator, not the closed
 forms; exact values enter only on reference sides.
 
+The verdict rule lives in two builders: `_report_z` passes a statistical
+check iff z <= tolerance_sigmas, with each z computed by `_z` from a
+residual and an SE floored at 1/n; `_report_exact` passes an exact check
+iff its residual is 0.
+
 Sums of one kind go through one helper each: `_face_alternation` is the
 face loop of the conic Sommerville relation, which the Sommerville,
 face-alternation, statdim-alternation and genfun-alternation checks call
@@ -20,7 +25,7 @@ Haar-rotation loop of the kinematic and polar-kinematic checks; and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,17 +84,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual_or_z": self.residual_or_z,
-            "n_samples": self.n_samples,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def table_row(self) -> str:
         return (
@@ -118,23 +113,27 @@ def _sub_cfg(cfg: SampleConfig, *tags: int) -> SampleConfig:
     return replace(cfg, seed=derive_seed(cfg.seed, *tags))
 
 
-def _report_z(name: str, lhs: float, rhs: float, se: float,
-              cfg: SampleConfig, notes: str = "", n_trials: int = 0) -> VerificationReport:
-    z = abs(lhs - rhs) / se if se > 0 else (0.0 if lhs == rhs else math.inf)
-    status = "pass" if z <= cfg.tolerance_sigmas else "fail"
+def _z(diff: float, se: float, n: int) -> float:
+    """|diff| in units of the standard error se, floored at 1/n."""
+    return abs(diff) / _floor_se(se, n)
+
+
+def _report_z(name: str, z: float, cfg: SampleConfig, lhs=None, rhs=None,
+              notes: str = "", n_trials: int = 0, ok: bool = True) -> VerificationReport:
+    """A statistical verdict: pass iff ok and z <= cfg.tolerance_sigmas."""
     return VerificationReport(
-        identity=name, status=status, lhs=lhs, rhs=rhs, residual_or_z=z,
-        n_samples=cfg.n_samples, n_trials=n_trials, seed=cfg.seed,
-        notes=notes,
+        identity=name, status="pass" if ok and z <= cfg.tolerance_sigmas else "fail",
+        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
+        n_trials=n_trials, seed=cfg.seed, notes=notes,
     )
 
 
-def _report_exact(name: str, lhs, rhs, seed: int = 0, notes: str = "") -> VerificationReport:
-    residual = 0 if lhs == rhs else 1
+def _report_exact(name: str, residual, lhs=None, rhs=None, seed: int = 0,
+                  notes: str = "") -> VerificationReport:
+    """An exact verdict: pass iff residual == 0."""
     return VerificationReport(
         identity=name, status="pass" if residual == 0 else "fail",
-        lhs=str(lhs), rhs=str(rhs), residual_or_z=float(residual), seed=seed,
-        notes=notes,
+        lhs=lhs, rhs=rhs, residual_or_z=float(residual), seed=seed, notes=notes,
     )
 
 
@@ -146,20 +145,17 @@ def verify_euler(c: Cone) -> VerificationReport:
     """Alternating f-vector sum: (-1)^dim for subspaces, 0 otherwise."""
     fl = face_lattice(c)
     expected = (-1) ** c.dim if c.is_subspace else 0
-    residual = fl.euler_sum - expected
-    return VerificationReport(
-        identity="euler", status="pass" if residual == 0 else "fail",
-        lhs=fl.euler_sum, rhs=expected, residual_or_z=float(abs(residual)),
-        notes=f"f={fl.f_vector}",
-    )
+    return _report_exact("euler", abs(fl.euler_sum - expected), fl.euler_sum, expected,
+                         notes=f"f={fl.f_vector}")
 
 
-def _face_alternation(c: Cone, phi, cfg: SampleConfig, tag: int):
+def _face_alternation(name: str, c: Cone, phi, cfg: SampleConfig,
+                      tag: int) -> VerificationReport:
     """The conic Sommerville relation at the functional phi:
     lhs = sum_k (-1)^k phi_k vhat_k(C) against
     rhs = sum over faces F of (-1)^dim F sum_k phi_k vhat_k(F), face i
-    sampled at sub-seed (tag, i).  Returns (lhs, rhs, z); the estimate of C
-    itself enters the residual once, with net coefficients."""
+    sampled at sub-seed (tag, i).  The estimate of C itself enters the
+    residual once, with net coefficients."""
     alt = [(-1) ** k * p for k, p in enumerate(phi)]
     lhs = rhs = residual = 0.0
     ses = []
@@ -173,17 +169,7 @@ def _face_alternation(c: Cone, phi, cfg: SampleConfig, tag: int):
             coeffs = [a + cf for a, cf in zip(alt, coeffs)]
         residual += sum(cf * v for cf, v in zip(coeffs, e.values))
         ses.append(_functional_se(e, coeffs))
-    return lhs, rhs, abs(residual) / _floor_se(_quad(*ses), cfg.n_samples)
-
-
-def _alternation_report(name: str, c: Cone, phi, cfg: SampleConfig,
-                        tag: int) -> VerificationReport:
-    lhs, rhs, z = _face_alternation(c, phi, cfg, tag)
-    return VerificationReport(
-        identity=name, status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed,
-    )
+    return _report_z(name, _z(residual, _quad(*ses), cfg.n_samples), cfg, lhs, rhs)
 
 
 def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -195,7 +181,7 @@ def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
             residual_or_z=0.0, seed=cfg.seed,
             notes="lineality: both sides vanish exactly",
         )
-    return _alternation_report("sommerville", c, [1] + [0] * c.d, cfg, tag=1)
+    return _face_alternation("sommerville", c, [1] + [0] * c.d, cfg, tag=1)
 
 
 def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> VerificationReport:
@@ -223,22 +209,16 @@ def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> Verif
             w += (-1) ** g.dim
         residual += w * v_g
         ses.append(w * se)
-    z = abs(residual) / _floor_se(_quad(*ses), cfg.n_samples)
-    return VerificationReport(
-        identity="generalized-sommerville",
-        status="pass" if z <= cfg.tolerance_sigmas else "fail",
-        lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        seed=cfg.seed, notes=f"G dim {g.dim}",
-    )
+    return _report_z("generalized-sommerville", _z(residual, _quad(*ses), cfg.n_samples),
+                     cfg, lhs, rhs, notes=f"G dim {g.dim}")
 
 
 def verify_face_alternation(c: Cone, k: int, cfg: SampleConfig) -> VerificationReport:
     """(-1)^k v_k(C) = sum over faces of (-1)^dim F v_k(F)."""
-    if not 0 <= k <= c.d:
-        raise ValueError("index out of range")
+    _check_index(k, c.d)
     phi = [0] * (c.d + 1)
     phi[k] = 1
-    return _alternation_report(f"face-alternation[k={k}]", c, phi, cfg, tag=3)
+    return _face_alternation(f"face-alternation[k={k}]", c, phi, cfg, tag=3)
 
 
 def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -249,26 +229,20 @@ def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
     est = estimate_iv(c, cfg)
     coeffs = [(-1) ** i for i in range(c.d + 1)]
     v_side = sum(cf * v for cf, v in zip(coeffs, est.values))
-    se = _functional_se(est, coeffs)
-    z = abs(v_side - expected) / se
-    status = "pass" if f_residual == 0 and z <= cfg.tolerance_sigmas else "fail"
-    return VerificationReport(
-        identity="gauss-bonnet", status=status, lhs=v_side, rhs=expected,
-        residual_or_z=z, n_samples=cfg.n_samples, seed=cfg.seed,
-        notes=f"f-side residual {f_residual} (exact)",
-    )
+    z = _z(v_side - expected, _functional_se(est, coeffs), cfg.n_samples)
+    return _report_z("gauss-bonnet", z, cfg, v_side, expected,
+                     notes=f"f-side residual {f_residual} (exact)", ok=f_residual == 0)
 
 
 def verify_statdim_alternation(c: Cone, cfg: SampleConfig) -> VerificationReport:
     """sum (-1)^k k v_k(C) = sum over faces of (-1)^dim F delta(F)."""
-    return _alternation_report("statdim-alternation", c, list(range(c.d + 1)), cfg,
-                               tag=4)
+    return _face_alternation("statdim-alternation", c, list(range(c.d + 1)), cfg, tag=4)
 
 
 def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> VerificationReport:
     """E[(-1)^V e^{tV}] over C = sum over faces of (-1)^dim F E[e^{tV_F}]."""
-    return _alternation_report(f"genfun-alternation[t={t}]", c,
-                               [math.exp(t * k) for k in range(c.d + 1)], cfg, tag=5)
+    return _face_alternation(f"genfun-alternation[t={t}]", c,
+                             [math.exp(t * k) for k in range(c.d + 1)], cfg, tag=5)
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +272,14 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
         )
     stats = estimate_functionals(c, cfg, funcs)
     for i, t in enumerate(t_grid):
-        mean, se = stats[f"mgf{i}"]
-        z = abs(mean) / _floor_se(se, cfg.n_samples)
+        z = _z(*stats[f"mgf{i}"], cfg.n_samples)
         worst = max(worst, z)
         details.append(f"t={t}: z={z:.2f}")
-    mean, se = stats["moment"]
-    zm = abs(mean) / _floor_se(se, cfg.n_samples)
+    zm = _z(*stats["moment"], cfg.n_samples)
     worst = max(worst, zm)
     details.append(f"moment: z={zm:.2f}")
-    status = "pass" if worst <= cfg.tolerance_sigmas else "fail"
-    return VerificationReport(
-        identity="steiner-mgf", status=status, lhs="sampled MGF",
-        rhs="chi-squared mixture", residual_or_z=worst,
-        n_samples=cfg.n_samples, seed=cfg.seed, notes="; ".join(details),
-    )
+    return _report_z("steiner-mgf", worst, cfg, "sampled MGF", "chi-squared mixture",
+                     notes="; ".join(details))
 
 
 def verify_statdim_consistency(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -321,8 +289,8 @@ def verify_statdim_consistency(c: Cone, cfg: SampleConfig) -> VerificationReport
     route1 = sum(k * v for k, v in enumerate(est.values))
     se1 = _functional_se(est, range(c.d + 1))
     route2, se2 = statdim_mc(c, _sub_cfg(cfg, 7))
-    se = _floor_se(_quad(se1, se2), cfg.n_samples)
-    return _report_z("statdim-consistency", route1, route2, se, cfg)
+    return _report_z("statdim-consistency",
+                     _z(route1 - route2, _quad(se1, se2), cfg.n_samples), cfg, route1, route2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +324,11 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
                 s2 += (-1) ** (k.dim - f.dim) * gamma_gf * beta_fk
                 ses1.append(_quad(beta_gf * se_gfk, gamma_fk * se_bgf))
                 ses2.append(_quad(gamma_gf * se_bfk, beta_fk * se_ggf))
-            se1 = _floor_se(_quad(*ses1), cfg.n_samples)
-            se2 = _floor_se(_quad(*ses2), cfg.n_samples)
-            worst = max(worst, abs(s1 - expected) / se1, abs(s2 - expected) / se2)
+            worst = max(worst, _z(s1 - expected, _quad(*ses1), cfg.n_samples),
+                        _z(s2 - expected, _quad(*ses2), cfg.n_samples))
             n_rel += 2
-    status = "pass" if worst <= cfg.tolerance_sigmas else "fail"
-    return VerificationReport(
-        identity="mcmullen-inverse", status=status,
-        lhs="incidence sums", rhs="identity element", residual_or_z=worst,
-        n_samples=cfg.n_samples, seed=cfg.seed,
-        notes=f"{n_rel} relations checked",
-    )
+    return _report_z("mcmullen-inverse", worst, cfg, "incidence sums", "identity element",
+                     notes=f"{n_rel} relations checked")
 
 
 def _tangent_of(g: Face, f: Face) -> Cone:
@@ -478,8 +440,8 @@ def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
         rhs = sum(conv[: d + 1])
         rhs_se = _quad(*conv_se[: d + 1])
     lhs, lhs_se = _rotation_mean(c, d_cone, intersect, k, trials, cfg, 14, 15)
-    se = _floor_se(_quad(lhs_se, rhs_se), trials * cfg.n_samples)
-    return _report_z(f"kinematic[k={k}]", lhs, rhs, se, cfg,
+    z = _z(lhs - rhs, _quad(lhs_se, rhs_se), trials * cfg.n_samples)
+    return _report_z(f"kinematic[k={k}]", z, cfg, lhs, rhs,
                      notes=f"{trials} rotations x {cfg.n_samples} samples",
                      n_trials=trials)
 
@@ -494,8 +456,8 @@ def verify_polar_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     d = c.d
     conv, conv_se = _product_iv(c, d_cone, cfg, (16, 17))
     lhs, lhs_se = _rotation_mean(c, d_cone, minkowski_sum, d - k, trials, cfg, 18, 19)
-    se = _floor_se(_quad(lhs_se, conv_se[d - k]), trials * cfg.n_samples)
-    return _report_z(f"polar-kinematic[k={k}]", lhs, conv[d - k], se, cfg,
+    z = _z(lhs - conv[d - k], _quad(lhs_se, conv_se[d - k]), trials * cfg.n_samples)
+    return _report_z(f"polar-kinematic[k={k}]", z, cfg, lhs, conv[d - k],
                      notes=f"{trials} rotations", n_trials=trials)
 
 
@@ -527,8 +489,8 @@ def verify_crofton_probability(c: Cone, d_cone: Cone, trials: int,
             if intersect(c, rotated).dim > 0:
                 hits += 1
     p_hat = hits / trials
-    se = _floor_se(_quad(math.sqrt(p_hat * (1 - p_hat) / trials), rhs_se), trials)
-    return _report_z("crofton", p_hat, rhs, se, cfg,
+    z = _z(p_hat - rhs, _quad(math.sqrt(p_hat * (1 - p_hat) / trials), rhs_se), trials)
+    return _report_z("crofton", z, cfg, p_hat, rhs,
                      notes=f"{trials} rotations", n_trials=trials)
 
 
@@ -583,13 +545,8 @@ def verify_transverse_duality(c: Cone, d_cone: Cone) -> VerificationReport:
             rhs = normal_face(inter, fl_i.face_of_cone(fg)).cone
             if lhs != rhs:
                 failures += 1
-    return VerificationReport(
-        identity="transverse-duality",
-        status="pass" if failures == 0 else "fail",
-        lhs=f"{checked} transverse pairs", rhs="normal-face sums",
-        residual_or_z=float(failures),
-        notes=f"{checked} pairs checked exactly",
-    )
+    return _report_exact("transverse-duality", failures, f"{checked} transverse pairs",
+                         "normal-face sums", notes=f"{checked} pairs checked exactly")
 
 
 def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> VerificationReport:
@@ -612,7 +569,7 @@ def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> Verifica
     total = sum(len(m_set & {p[x] for x in n_set}) for p in perms)
     lhs = Fraction(total, len(perms))
     rhs = Fraction(len(m_set) * len(n_set), omega_size)
-    return _report_exact("finite-double-count", lhs, rhs)
+    return _report_exact("finite-double-count", int(lhs != rhs), str(lhs), str(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +599,8 @@ def verify_zaslavsky(a: Arrangement,
     for j in range(a.d + 1):
         counted.append(len(regions_j(a, j, lat)))
         predicted.append(zaslavsky_count(a, j, lat))
-    return _report_exact("zaslavsky", tuple(counted), tuple(predicted),
-                         notes=f"j = 0..{a.d}")
+    return _report_exact("zaslavsky", int(counted != predicted), str(tuple(counted)),
+                         str(tuple(predicted)), notes=f"j = 0..{a.d}")
 
 
 def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig,
@@ -654,19 +611,12 @@ def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig,
     chi = level_char_poly(a, j, lat)
     regs = regions_j(a, j, lat)
     sums, variances = _region_iv_sums(regs, a.d, cfg, 23, j)
-    worst = 0.0
-    for k in range(j + 1):
-        expected = (-1) ** (j - k) * chi.coefficient(k)
-        se = _floor_se(math.sqrt(variances[k]), cfg.n_samples)
-        worst = max(worst, abs(sums[k] - expected) / se)
-    status = "pass" if worst <= cfg.tolerance_sigmas else "fail"
-    return VerificationReport(
-        identity=f"klivans-swartz[j={j}]", status=status,
-        lhs=[round(s, 6) for s in sums[: j + 1]],
-        rhs=[(-1) ** (j - k) * chi.coefficient(k) for k in range(j + 1)],
-        residual_or_z=worst, n_samples=cfg.n_samples, seed=cfg.seed,
-        notes=f"{len(regs)} regions",
-    )
+    expected = [(-1) ** (j - k) * chi.coefficient(k) for k in range(j + 1)]
+    worst = max(_z(sums[k] - expected[k], math.sqrt(variances[k]), cfg.n_samples)
+                for k in range(j + 1))
+    return _report_z(f"klivans-swartz[j={j}]", worst, cfg,
+                     [round(s, 6) for s in sums[: j + 1]], expected,
+                     notes=f"{len(regs)} regions")
 
 
 def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationReport:
@@ -697,11 +647,8 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
     r_pred = zaslavsky_count(a, j, lat) - (-1) ** j * 2 * chi.coefficient(0)
     r_got = zaslavsky_count(sliced, j - 1)
     ok = got_coeffs == expected and r_got == r_pred
-    return VerificationReport(
-        identity=f"generic-slice[j={j}]", status="pass" if ok else "fail",
-        lhs=got_coeffs, rhs=expected, residual_or_z=0.0 if ok else 1.0,
-        seed=seed, notes=f"r_{j-1} slice: {r_got} vs {r_pred}",
-    )
+    return _report_exact(f"generic-slice[j={j}]", int(not ok), got_coeffs, expected,
+                         seed=seed, notes=f"r_{j-1} slice: {r_got} vs {r_pred}")
 
 
 def _dot_nonzero(h, b) -> bool:
@@ -725,18 +672,11 @@ def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationRepor
     expected = cover_efron_expected_iv(n, d)
     sums, variances = _region_iv_sums(regs, d, cfg, 25)
     r = len(regs)
-    worst = 0.0
-    for k in range(d + 1):
-        mean = sums[k] / r
-        se = _floor_se(math.sqrt(variances[k]) / r, cfg.n_samples)
-        worst = max(worst, abs(mean - float(expected[k])) / se)
-    status = "pass" if worst <= cfg.tolerance_sigmas else "fail"
-    return VerificationReport(
-        identity=f"hug-schneider[n={n},d={d}]", status=status,
-        lhs=[round(s / r, 6) for s in sums],
-        rhs=[float(x) for x in expected], residual_or_z=worst,
-        n_samples=cfg.n_samples, seed=cfg.seed, notes=f"{r} chambers",
-    )
+    worst = max(_z(sums[k] / r - float(expected[k]), math.sqrt(variances[k]) / r,
+                   cfg.n_samples) for k in range(d + 1))
+    return _report_z(f"hug-schneider[n={n},d={d}]", worst, cfg,
+                     [round(s / r, 6) for s in sums], [float(x) for x in expected],
+                     notes=f"{r} chambers")
 
 
 def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> VerificationReport:
@@ -755,8 +695,8 @@ def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> Verificatio
         variances.append(_functional_se(est, dims) ** 2)
     r = len(regs)
     mean = total / r
-    se = _floor_se(math.sqrt(sum(variances)) / r, cfg.n_samples)
-    return _report_z(f"family-statdim[{family},j={j}]", mean, expected, se, cfg,
+    z = _z(mean - expected, math.sqrt(sum(variances)) / r, cfg.n_samples)
+    return _report_z(f"family-statdim[{family},j={j}]", z, cfg, mean, expected,
                      notes=f"{r} regions in R^{d}")
 
 
@@ -830,12 +770,8 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
                 family_level_char(fam, d, j) == level_char_poly(a, j, lat)
                 for j in range(d + 1)
             )
-            reports.append(VerificationReport(
-                identity=f"family-closed-form[{fam},d={d}]",
-                status="pass" if ok else "fail",
-                residual_or_z=0.0 if ok else 1.0,
-                notes="exact match with lattice computation",
-            ))
+            reports.append(_report_exact(f"family-closed-form[{fam},d={d}]", int(not ok),
+                                         notes="exact match with lattice computation"))
     for j in (1, 2, 3):
         add(verify_klivans_swartz(named_family("braid", 3), j, _sub_cfg(cfg, 115, j)),
             "braid-3d")

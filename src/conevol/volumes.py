@@ -310,6 +310,10 @@ def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.nda
     Also identifies the unique face with p in its relative interior;
     raises AmbiguousProjection when the float margins cannot separate one.
     """
+    # checked here, not only when a kernel is built: a cached kernel for c
+    # would otherwise answer for a foreign lattice
+    if lattice.cone != c:
+        raise ValueError("lattice does not belong to this cone")
     kern = _kernel_for(c, lattice)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.d:

@@ -96,8 +96,9 @@ def test_exit_code_two_on_bad_input(tmp_path):
                            "--t-grid", "12", "--samples", "2000")
     assert code == 2 and "Traceback" not in err
     # rotation counts below one, a tolerance that is not a positive number,
-    # an empty or non-finite t-grid, a kinematic index outside 0..d and a
-    # slice level below 2 are input errors, not failed or vacuous checks
+    # an empty or non-finite t-grid, a kinematic or face-alternation index
+    # outside 0..d and a slice level below 2 are input errors, not failed or
+    # vacuous checks
     pair = [str(FIXTURES / "orthant2.json")] * 2
     square = str(FIXTURES / "square-cone.json")
     for argv, name in (
@@ -114,6 +115,7 @@ def test_exit_code_two_on_bad_input(tmp_path):
         (["kinematic", *pair, "--k", "9"], "index k"),
         (["polar-kinematic", *pair, "--k", "9"], "index k"),
         (["polar-kinematic", *pair, "--k", "-1"], "index k"),
+        (["face-alternation", square, "--k", "9"], "index k"),
         (["generic-slice", "--family", "braid:4", "--j", "0"], "requires j >= 2"),
         (["generic-slice", "--family", "braid:4", "--j", "1"], "requires j >= 2"),
     ):

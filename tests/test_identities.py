@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from conevol.cone import (
 )
 from conevol.identities import (
     rationalize_matrix,
+    run_suite,
     verify_crofton_probability,
     verify_euler,
     verify_face_alternation,
@@ -298,12 +300,32 @@ def test_rationalize_matrix_accuracy():
 
 
 def test_report_json_shape():
-    r = verify_euler(ORTHANT2)
-    obj = r.to_json()
-    assert set(obj) == {
-        "identity", "status", "lhs", "rhs", "residual_or_z",
-        "n_samples", "n_trials", "seed", "notes",
+    # one report from each builder path: the key set, the key order and
+    # the types of lhs, rhs and residual_or_z that each check emits
+    keys = ["identity", "status", "lhs", "rhs", "residual_or_z",
+            "n_samples", "n_trials", "seed", "notes"]
+    assert list(verify_euler(ORTHANT2).to_json()) == keys
+    reports = run_suite(SampleConfig(n_samples=500, seed=0), trials=2)
+    expected = {
+        "euler": (int, int),
+        "zaslavsky": (str, str),
+        "generic-slice": (list, list),
+        "transverse-duality": (str, str),
+        "steiner-mgf": (str, str),
+        "klivans-swartz": (list, list),
+        "gauss-bonnet": (float, int),
+        "family-closed-form": (type(None), type(None)),
     }
+    seen = set()
+    for r in reports:
+        obj = r.to_json()
+        assert list(obj) == keys and type(obj["residual_or_z"]) is float, obj
+        json.dumps(obj)
+        name = obj["identity"].split("[")[0]
+        if name in expected:
+            seen.add(name)
+            assert (type(obj["lhs"]), type(obj["rhs"])) == expected[name], obj
+    assert seen == set(expected)
 
 
 def test_steiner_mgf_t_zero_trivial():

@@ -606,6 +606,16 @@ def test_moreau_project_rejects_non_finite_points(bad):
         moreau_project(c, face_lattice(c), [1.0, bad, 2.0])
 
 
+def test_moreau_project_rejects_foreign_lattice_with_warm_cache():
+    # a kernel cached for orthant-3d must not answer for another cone's lattice
+    c, other = CATALOG["orthant-3d"], CATALOG["square-cone-3d"]
+    x = [1.0, 2.0, 3.0]
+    p, _, face = moreau_project(c, face_lattice(c), x)
+    assert face.dim == 3 and np.allclose(p, x)
+    with pytest.raises(ValueError, match="does not belong"):
+        moreau_project(c, face_lattice(other), x)
+
+
 def test_moreau_project_raises_on_boundary():
     c = CATALOG["orthant-3d"]
     with pytest.raises(AmbiguousProjection) as exc:
