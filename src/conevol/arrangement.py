@@ -574,38 +574,19 @@ def named_family(family: str, d: int, n: int | None = None, seed: int = 0) -> Ar
         raise ValueError(f"unknown family {family!r}")
     if d < 1:
         raise ValueError("dimension must be positive")
-    if family == "braid":
+    if family == "d" and d < 2:
+        raise ValueError("the D family requires dimension at least 2")
+    if family != "generic":
+        # braid: e_i - e_k; d adds e_i + e_k; bc adds e_i + e_k and e_i
+        e = [[int(i == j) for j in range(d)] for i in range(d)]
         rows = []
         for i in range(d):
+            if family == "bc":
+                rows.append(e[i])
             for k in range(i + 1, d):
-                row = [0] * d
-                row[i], row[k] = 1, -1
-                rows.append(row)
-        return arrangement(rows, d)
-    if family == "bc":
-        rows = []
-        for i in range(d):
-            row = [0] * d
-            row[i] = 1
-            rows.append(list(row))
-            for k in range(i + 1, d):
-                r1 = [0] * d
-                r1[i], r1[k] = 1, -1
-                r2 = [0] * d
-                r2[i], r2[k] = 1, 1
-                rows.extend([r1, r2])
-        return arrangement(rows, d)
-    if family == "d":
-        if d < 2:
-            raise ValueError("the D family requires dimension at least 2")
-        rows = []
-        for i in range(d):
-            for k in range(i + 1, d):
-                r1 = [0] * d
-                r1[i], r1[k] = 1, -1
-                r2 = [0] * d
-                r2[i], r2[k] = 1, 1
-                rows.extend([r1, r2])
+                rows.append([x - y for x, y in zip(e[i], e[k])])
+                if family != "braid":
+                    rows.append([x + y for x, y in zip(e[i], e[k])])
         return arrangement(rows, d)
     # generic
     if n is None:

@@ -125,12 +125,16 @@ def _load_cone(path: str):
 
 
 def _load_arrangement(args):
+    targets = getattr(args, "targets", None) or []
+    if len(targets) > 1:
+        raise ValueError(f"verify {args.identity} takes at most 1 arrangement file, "
+                         f"got {len(targets)}")
     if getattr(args, "family", None):
         return parse_family_spec(args.family)
     if getattr(args, "file", None):
         return arrangement_from_json(_load_json(args.file))
-    if getattr(args, "targets", None):
-        return arrangement_from_json(_load_json(args.targets[0]))
+    if targets:
+        return arrangement_from_json(_load_json(targets[0]))
     raise ValueError("an arrangement file or --family spec is required")
 
 
@@ -259,36 +263,39 @@ def _cmd_verify(args) -> int:
     cfg = _cfg(args)
     ident = args.identity
     reports: list[VerificationReport] = []
+
+    def cones(n: int) -> list:
+        if len(args.targets) != n:
+            raise ValueError(f"verify {ident} takes {n} cone file{'s' * (n != 1)}, "
+                             f"got {len(args.targets)}")
+        return [_load_cone(t) for t in args.targets]
+
     if ident == "euler":
-        reports.append(verify_euler(_load_cone(args.targets[0])))
+        reports.append(verify_euler(*cones(1)))
     elif ident == "gauss-bonnet":
-        reports.append(verify_gauss_bonnet(_load_cone(args.targets[0]), cfg))
+        reports.append(verify_gauss_bonnet(*cones(1), cfg))
     elif ident == "sommerville":
-        reports.append(verify_sommerville(_load_cone(args.targets[0]), cfg))
+        reports.append(verify_sommerville(*cones(1), cfg))
     elif ident == "face-alternation":
-        reports.append(verify_face_alternation(_load_cone(args.targets[0]), args.k, cfg))
+        reports.append(verify_face_alternation(*cones(1), args.k, cfg))
     elif ident == "statdim-alternation":
-        reports.append(verify_statdim_alternation(_load_cone(args.targets[0]), cfg))
+        reports.append(verify_statdim_alternation(*cones(1), cfg))
     elif ident == "statdim-consistency":
-        reports.append(verify_statdim_consistency(_load_cone(args.targets[0]), cfg))
+        reports.append(verify_statdim_consistency(*cones(1), cfg))
     elif ident == "genfun":
-        c = _load_cone(args.targets[0])
+        c, = cones(1)
         for t in _parse_grid(args.t_grid):
             reports.append(verify_genfun_alternation(c, t, cfg))
     elif ident == "steiner-mgf":
-        reports.append(verify_steiner_mgf(_load_cone(args.targets[0]),
-                                          _parse_grid(args.t_grid), cfg))
+        reports.append(verify_steiner_mgf(*cones(1), _parse_grid(args.t_grid), cfg))
     elif ident == "mcmullen":
-        reports.append(verify_mcmullen_inverse(_load_cone(args.targets[0]), cfg))
+        reports.append(verify_mcmullen_inverse(*cones(1), cfg))
     elif ident == "kinematic":
-        c1, c2 = (_load_cone(t) for t in args.targets[:2])
-        reports.append(verify_kinematic(c1, c2, args.k, args.trials, cfg))
+        reports.append(verify_kinematic(*cones(2), args.k, args.trials, cfg))
     elif ident == "polar-kinematic":
-        c1, c2 = (_load_cone(t) for t in args.targets[:2])
-        reports.append(verify_polar_kinematic(c1, c2, args.k, args.trials, cfg))
+        reports.append(verify_polar_kinematic(*cones(2), args.k, args.trials, cfg))
     elif ident == "crofton":
-        c1, c2 = (_load_cone(t) for t in args.targets[:2])
-        reports.append(verify_crofton_probability(c1, c2, args.trials, cfg))
+        reports.append(verify_crofton_probability(*cones(2), args.trials, cfg))
     elif ident == "zaslavsky":
         reports.append(verify_zaslavsky(_load_arrangement(args)))
     elif ident == "klivans-swartz":
@@ -300,10 +307,12 @@ def _cmd_verify(args) -> int:
         a = _load_arrangement(args)
         reports.append(verify_generic_slice(a, a.d if args.j is None else args.j, seed=args.seed))
     elif ident == "hug-schneider":
+        cones(0)
         if args.n is None or args.d is None:
             raise ValueError("hug-schneider requires --n and --d")
         reports.append(verify_hug_schneider(args.n, args.d, cfg))
     elif ident == "family-statdim":
+        cones(0)
         if not args.family or args.j is None:
             raise ValueError("family-statdim requires --family and --j")
         reports.append(verify_family_statdim(args.family, args.j, cfg))

@@ -19,12 +19,16 @@ face loop of the conic Sommerville relation, which the Sommerville,
 face-alternation, statdim-alternation and genfun-alternation checks call
 with the functionals e_0, e_k, (k) and (e^{tk}); `_rotation_mean` is the
 Haar-rotation loop of the kinematic and polar-kinematic checks; and
-`_region_iv_sums` sums estimated intrinsic volumes over regions.
+`_region_iv_sums` sums estimated intrinsic volumes over regions.  Every
+Haar rotation comes from `_rotations`, which `_rotation_mean` and
+Crofton's general path iterate, and every sampled decision, Crofton's line
+hits included, is the projection kernel's acceptance rule in `volumes`.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
@@ -33,14 +37,18 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     IntersectionLattice,
+    chambers,
     cover_efron_expected_iv,
     expected_statdim_family,
+    family_level_char,
     intersection_lattice,
     level_char_poly,
     named_family,
     regions_j,
+    restriction,
     zaslavsky_count,
 )
+from .catalog import build_arrangements, build_cones, pointed_cones
 from .cone import (
     Cone,
     Face,
@@ -53,10 +61,11 @@ from .cone import (
     polar,
     transverse,
 )
-from .exactlin import mat, vec
+from .exactlin import kernel, mat, vec
 from .volumes import (
     IVEstimate,
     SampleConfig,
+    _kernel_for,
     derive_seed,
     estimate_functionals,
     estimate_iv,
@@ -241,8 +250,13 @@ def verify_statdim_alternation(c: Cone, cfg: SampleConfig) -> VerificationReport
 
 def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> VerificationReport:
     """E[(-1)^V e^{tV}] over C = sum over faces of (-1)^dim F E[e^{tV_F}]."""
-    return _face_alternation(f"genfun-alternation[t={t}]", c,
-                             [math.exp(t * k) for k in range(c.d + 1)], cfg, tag=5)
+    try:
+        # the delta-method SE squares net weights of up to 2 e^{td}
+        math.exp(2 * t * c.d + math.log(4))
+        phi = [math.exp(t * k) for k in range(c.d + 1)]
+    except OverflowError:
+        raise ValueError(f"t = {t} overflows e^(2tk) for k <= {c.d}") from None
+    return _face_alternation(f"genfun-alternation[t={t}]", c, phi, cfg, tag=5)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +276,10 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
     details = []
     funcs = {"moment": lambda dims, pn2: pn2 - dims}
     for i, t in enumerate(t_grid):
-        s = (1.0 - math.exp(-2.0 * t)) / 2.0
+        try:
+            s = (1.0 - math.exp(-2.0 * t)) / 2.0
+        except OverflowError:
+            raise ValueError(f"t = {t} overflows s = (1 - e^(-2t))/2") from None
         if not s < 0.25:
             raise ValueError(
                 f"t = {t} gives s = {s}: the MGF estimate has finite variance "
@@ -304,6 +321,16 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
       sum_{G<=F<=K} (-1)^{dim K - dim F} gamma(G,F) beta(F,K) = [G = K].
     """
     fl = face_lattice(c)
+    n = len(fl.faces)
+
+    def angles(of, tag):
+        # an angle depends on its face pair and sub-seed only, so one
+        # estimate serves every relation it enters
+        return {(a, b): solid_angle_se(of(fl.faces[a], fl.faces[b]), _sub_cfg(cfg, tag, a, b))
+                for a in range(n) for b in range(n) if fl.leq(a, b)}
+
+    beta_lo, gamma_hi = angles(_tangent_of, 8), angles(_normal_of, 9)
+    gamma_lo, beta_hi = angles(_normal_of, 10), angles(_tangent_of, 11)
     worst = 0.0
     n_rel = 0
     for gi, g in enumerate(fl.faces):
@@ -316,10 +343,10 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
             for fi, f in enumerate(fl.faces):
                 if not (fl.leq(gi, fi) and fl.leq(fi, ki)):
                     continue
-                beta_gf, se_bgf = solid_angle_se(_tangent_of(g, f), _sub_cfg(cfg, 8, gi, fi))
-                gamma_fk, se_gfk = solid_angle_se(_normal_of(f, k), _sub_cfg(cfg, 9, fi, ki))
-                gamma_gf, se_ggf = solid_angle_se(_normal_of(g, f), _sub_cfg(cfg, 10, gi, fi))
-                beta_fk, se_bfk = solid_angle_se(_tangent_of(f, k), _sub_cfg(cfg, 11, fi, ki))
+                beta_gf, se_bgf = beta_lo[gi, fi]
+                gamma_fk, se_gfk = gamma_hi[fi, ki]
+                gamma_gf, se_ggf = gamma_lo[gi, fi]
+                beta_fk, se_bfk = beta_hi[fi, ki]
                 s1 += (-1) ** (f.dim - g.dim) * beta_gf * gamma_fk
                 s2 += (-1) ** (k.dim - f.dim) * gamma_gf * beta_fk
                 ses1.append(_quad(beta_gf * se_gfk, gamma_fk * se_bgf))
@@ -402,18 +429,24 @@ def _check_index(k: int, d: int) -> None:
         raise ValueError(f"index k must be in 0..{d}, got {k}")
 
 
+def _rotations(d_cone: Cone, trials: int, seed: int, rng_tag: int):
+    """Yield QD for trials Haar rotations Q, drawn from the stream
+    (seed, rng_tag) and rationalized so that QD is built exactly."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, rng_tag)))
+    for _ in range(trials):
+        yield _apply_rational_rotation(rationalize_matrix(haar_rotation(d_cone.d, rng)),
+                                       d_cone)
+
+
 def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
                    cfg: SampleConfig, rng_tag: int, tag: int) -> tuple[float, float]:
-    """Mean over Haar rotations Q of vhat_index(combine(C, QD)) and its
-    standard error.  Q is drawn from the stream (seed, rng_tag) and
-    rationalized so that QD is built exactly; rotation t is sampled with
-    cfg.n_samples draws at sub-seed (tag, t)."""
+    """Mean over the rotations QD of `_rotations` of vhat_index(combine(C, QD))
+    and its standard error; rotation t is sampled with cfg.n_samples draws
+    at sub-seed (tag, t)."""
     _check_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, rng_tag)))
     per_trial = []
-    for t in range(trials):
-        qm = rationalize_matrix(haar_rotation(c.d, rng))
-        cone = combine(c, _apply_rational_rotation(qm, d_cone))
+    for t, rotated in enumerate(_rotations(d_cone, trials, cfg.seed, rng_tag)):
+        cone = combine(c, rotated)
         if cone.dim == 0:  # intrinsic volumes of {0} are (1, 0, ..., 0)
             per_trial.append(1.0 if index == 0 else 0.0)
             continue
@@ -478,51 +511,44 @@ def verify_crofton_probability(c: Cone, d_cone: Cone, trials: int,
     conv, conv_se = _product_iv(c, d_cone, cfg, (20, 21))
     rhs = 2.0 * sum(conv[d + i] for i in range(1, d + 1) if i % 2 == 1)
     rhs_se = 2.0 * _quad(*[conv_se[d + i] for i in range(1, d + 1) if i % 2 == 1])
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 22)))
     if d_cone.is_subspace and d_cone.dim == 1:
-        hits = _crofton_line_hits(c, d_cone, trials, rng)
+        hits = _crofton_line_hits(c, trials, cfg.seed)
     else:
-        hits = 0
-        for t in range(trials):
-            qm = rationalize_matrix(haar_rotation(d, rng))
-            rotated = _apply_rational_rotation(qm, d_cone)
-            if intersect(c, rotated).dim > 0:
-                hits += 1
+        hits = sum(intersect(c, q).dim > 0 for q in _rotations(d_cone, trials, cfg.seed, 22))
     p_hat = hits / trials
     z = _z(p_hat - rhs, _quad(math.sqrt(p_hat * (1 - p_hat) / trials), rhs_se), trials)
     return _report_z("crofton", z, cfg, p_hat, rhs,
                      notes=f"{trials} rotations", n_trials=trials)
 
 
-def _crofton_line_hits(c: Cone, line: Cone, trials: int, rng) -> int:
-    """Vectorized fast path: QL for a line L is a uniform sphere direction;
-    decide u in C or -u in C by facet slacks with a 1e-7 margin, redrawing
-    ambiguous rotations."""
-    facets = np.array([[float(x) for x in a] for a in c.inequalities])
-    eqs = np.array([[float(x) for x in e] for e in c.equalities]) if c.equalities else None
+def _crofton_line_hits(c: Cone, trials: int, seed: int) -> int:
+    """Vectorized fast path: QL for a line L is the line through a uniform
+    unit direction u, drawn from the stream (seed, 22), and meets C beyond
+    0 iff u or -u lies in C.  Directions `_line_hit` leaves ambiguous are
+    redrawn.  A lower-dimensional C is hit with probability 0."""
+    if c.dim < c.d:
+        return 0
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 22)))
     hits = 0
     need = trials
     while need > 0:
         u = rng.standard_normal((need, c.d))
         u /= np.linalg.norm(u, axis=1)[:, None]
-        margin = 1e-7
-        if eqs is not None and len(eqs):
-            on_span = np.max(np.abs(u @ eqs.T), axis=1) < margin
-        else:
-            on_span = np.ones(len(u), dtype=bool)
-        s = u @ facets.T if len(facets) else np.zeros((len(u), 1))
-        in_plus = np.max(s, axis=1) < -margin if len(facets) else np.ones(len(u), dtype=bool)
-        in_minus = np.max(-s, axis=1) < -margin if len(facets) else np.ones(len(u), dtype=bool)
-        ambiguous = (
-            (np.abs(np.max(s, axis=1)) < margin) | (np.abs(np.max(-s, axis=1)) < margin)
-            if len(facets)
-            else np.zeros(len(u), dtype=bool)
-        )
-        ok = ~ambiguous
-        hit = (in_plus | in_minus) & on_span & ok
-        hits += int(hit.sum())
+        hit, ok = _line_hit(c, u)
+        hits += int((hit & ok).sum())
         need -= int(ok.sum())
     return hits
+
+
+def _line_hit(c: Cone, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of u, for a full-dimensional C: whether u or -u lies in C,
+    that is whether C's projection kernel puts it on the top face, the only
+    one of dimension d; and whether the kernel decides both without
+    ambiguity."""
+    kern = _kernel_for(c)
+    plus, _, ok_plus, _ = kern.classify(u, pnorm2=False)
+    minus, _, ok_minus, _ = kern.classify(-u, pnorm2=False)
+    return (kern.face_dims[plus] == c.d) | (kern.face_dims[minus] == c.d), ok_plus & ok_minus
 
 
 def verify_transverse_duality(c: Cone, d_cone: Cone) -> VerificationReport:
@@ -622,12 +648,10 @@ def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig,
 def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationReport:
     """Restricting to a hyperplane in general position shifts the level
     characteristic polynomial: coefficients (a_0 + a_1, a_2, ..., a_j)."""
-    import random as _random
-
     if j < 2:
         raise ValueError("the slice lemma requires j >= 2")
     lat = intersection_lattice(a)
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     while True:
         h = vec([rng.randint(-19, 19) for _ in range(a.d)])
         if all(x == 0 for x in h):
@@ -637,7 +661,7 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
             for f in lat.flats
         ):
             break
-    sliced = restriction_to_normal(a, h)
+    sliced = restriction(a, kernel([vec(h)], a.d))
     chi = level_char_poly(a, j, lat)
     expected = [chi.coefficient(0) + chi.coefficient(1)] + [
         chi.coefficient(k) for k in range(2, j + 1)
@@ -655,18 +679,9 @@ def _dot_nonzero(h, b) -> bool:
     return sum(x * y for x, y in zip(h, b)) != 0
 
 
-def restriction_to_normal(a: Arrangement, h) -> Arrangement:
-    from .arrangement import restriction
-    from .exactlin import kernel
-
-    return restriction(a, kernel([vec(h)], a.d))
-
-
 def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationReport:
     """Expected chamber intrinsic volumes of a verified-generic arrangement
     match the binomial closed form."""
-    from .arrangement import chambers
-
     arr = named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24))
     regs = chambers(arr)
     expected = cover_efron_expected_iv(n, d)
@@ -712,9 +727,6 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     (Bonferroni: 116 x 6.3e-5).  Exact checks (Euler, Zaslavsky, closed
     forms, double counting) carry no statistical risk.
     """
-    from .arrangement import family_level_char
-    from .catalog import build_arrangements, build_cones, pointed_cones
-
     cones = build_cones()
     arrs = build_arrangements()
     reports: list[VerificationReport] = []

@@ -623,21 +623,13 @@ def solid_angle_se(c: Cone, cfg: SampleConfig | None = None) -> tuple[float, flo
 
 
 def internal_angle(f: Face, c: Cone, cfg: SampleConfig | None = None) -> float:
-    return internal_angle_se(f, c, cfg)[0]
-
-
-def internal_angle_se(f: Face, c: Cone, cfg: SampleConfig | None = None):
     """beta(F, C) = alpha of the tangent cone of C at F."""
-    return solid_angle_se(tangent_cone(c, f), cfg)
+    return solid_angle(tangent_cone(c, f), cfg)
 
 
 def external_angle(f: Face, c: Cone, cfg: SampleConfig | None = None) -> float:
-    return external_angle_se(f, c, cfg)[0]
-
-
-def external_angle_se(f: Face, c: Cone, cfg: SampleConfig | None = None):
     """gamma(F, C) = alpha of the normal face of C at F."""
-    return solid_angle_se(normal_face(c, f).cone, cfg)
+    return solid_angle(normal_face(c, f).cone, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,18 @@ def test_exit_code_two_on_bad_input(tmp_path):
         (["face-alternation", square, "--k", "9"], "index k"),
         (["generic-slice", "--family", "braid:4", "--j", "0"], "requires j >= 2"),
         (["generic-slice", "--family", "braid:4", "--j", "1"], "requires j >= 2"),
+        # a cone check takes exactly its number of cone files, a family
+        # check none, an arrangement check at most one
+        (["euler"], "takes 1 cone file, got 0"),
+        (["euler", pair[0], str(FIXTURES / "line2.json")], "takes 1 cone file, got 2"),
+        (["kinematic", pair[0]], "takes 2 cone files, got 1"),
+        (["hug-schneider", pair[0], "--n", "3", "--d", "2"], "takes 0 cone files, got 1"),
+        (["zaslavsky", str(FIXTURES / "braid3.json"), str(FIXTURES / "bc2.json")],
+         "at most 1 arrangement file"),
+        # a t whose weights, or the squares the SE takes of them, overflow
+        (["genfun", pair[0], "--t-grid", "400"], "t = 400"),
+        (["genfun", pair[0], "--t-grid", "300"], "t = 300"),
+        (["steiner-mgf", pair[0], "--t-grid=-400"], "t = -400"),
     ):
         code, out, err = run_cli("verify", *argv, "--samples", "500")
         assert code == 2 and name in err and "Traceback" not in err and out == "", (argv, err)

@@ -2,8 +2,11 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import crofton_oracle
+from conevol import identities
 from conevol.arrangement import arrangement, named_family
 from conevol.catalog import build_cones
 from conevol.cone import (
@@ -228,6 +231,57 @@ def test_crofton_skip_two_subspaces():
     line3 = cone_from_generators([], [[0, 0, 1]], 3)
     r = verify_crofton_probability(PLANE, line3, 100, CFG)
     assert r.status == "skip"
+
+
+def test_crofton_line_rule_matches_slack_oracle():
+    # the kernel's line rule against the facet-slack rule it replaced, on one
+    # fixed batch per cone: uniform directions and, for a full-dimensional
+    # C, every generator and its negative, which lie on C's boundary.
+    # Wherever both rules decide a direction they must give the same hit.
+    # A lower-dimensional C is never hit: a uniform direction misses its
+    # span almost surely, so its own generators stay out of the batch
+    rng = np.random.default_rng(20261019)
+    seen = set()
+    for name, c in build_cones():
+        if c.is_subspace:
+            continue  # Crofton's hypothesis excludes two subspaces
+        u = rng.standard_normal((4000, c.d))
+        if c.dim == c.d:
+            gens = np.array([[float(x) for x in g] for g in c.generators]).reshape(-1, c.d)
+            u = np.vstack([u, gens, -gens])
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        if c.dim == c.d:
+            hit, ok = identities._line_hit(c, u)
+        else:
+            assert identities._crofton_line_hits(c, 100, 0) == 0, name
+            hit, ok = np.zeros(len(u), dtype=bool), np.ones(len(u), dtype=bool)
+        ref_hit, ref_ok = crofton_oracle.line_hit(c, u)
+        both = ok & ref_ok
+        assert (hit[both] == ref_hit[both]).all(), name
+        assert both[:4000].mean() > 0.999, name  # the comparison is not vacuous
+        seen.add("full" if c.lineality_dim == 0 and c.dim == c.d
+                 else "lineality" if c.dim == c.d else "lower")
+    assert seen == {"full", "lineality", "lower"}
+
+
+def test_mcmullen_estimates_each_angle_once(monkeypatch):
+    # beta(G,F), gamma(F,K), gamma(G,F) and beta(F,K) depend on their face
+    # pair and sub-seed only, so each is computed once per pair a <= b
+    seeds = []
+    real = identities.solid_angle_se
+
+    def counting(c, cfg=None):
+        seeds.append(cfg.seed)
+        return real(c, cfg)
+
+    monkeypatch.setattr(identities, "solid_angle_se", counting)
+    c = dict(build_cones())["square-cone-3d"]
+    fl = face_lattice(c)
+    n = len(fl.faces)
+    pairs = sum(fl.leq(a, b) for a in range(n) for b in range(n))
+    verify_mcmullen_inverse(c, SampleConfig(n_samples=500, seed=0))
+    assert len(seeds) == 4 * pairs == 140
+    assert len(set(seeds)) == len(seeds)  # one sub-seed per angle
 
 
 def test_crofton_general_cone_pair():
