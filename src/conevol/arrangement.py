@@ -1,11 +1,15 @@
 """Central hyperplane arrangements: lattices, polynomials, regions.
 
-Hyperplanes are stored as primitive normals with positive leading entry
-(H and -H define the same hyperplane).  The intersection lattice is built
-by breadth-first closure under single-hyperplane intersection on integer
-echelons: a flat X is keyed by the echelon of X^perp, the span of the
-normals of the hyperplanes containing it, and one kernel per distinct flat
-gives its basis.  The Möbius function follows by the standard recursion;
+Hyperplanes are stored as primitive integer normals with positive leading
+entry (H and -H define the same hyperplane).  The intersection lattice is
+built by breadth-first closure under single-hyperplane intersection on
+integer echelons: a flat X is keyed by the echelon of X^perp, the span of
+the normals of the hyperplanes containing it, and one kernel of that
+echelon gives the flat's subspace, itself an integer echelon.  Flats are
+sorted by their RREF (`Subspace.rref`), not by the echelon, which orders
+some flats with fractional RREF entries differently; a flat's coordinates,
+for restrictions and regions, are its RREF rows scaled by one common
+integer.  The Möbius function follows by the standard recursion;
 characteristic polynomials carry exact integer coefficients.  Chambers are
 enumerated by incremental insertion on V-representations with the
 double-description step that converts cones between representations: its
@@ -26,30 +30,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone import Cone, InvariantViolation, _json_dim
+from .cone import Cone, InvariantViolation, _json_dim, matrix_to_json
 from .exactlin import (
-    Echelon,
-    IntVec,
     Mat,
     Subspace,
+    Vec,
+    _common_scale,
     _dd_step,
     _echelon,
-    _idot,
-    _int_mat,
-    _int_vec,
+    _int_rows,
     _ireduce,
+    _kernel,
     _lift,
     _lin_cut,
     _prim,
-    _rational,
-    _rref_rows,
     _unit_echelon,
+    dot,
     full_space,
-    is_zero,
-    kernel,
-    mat,
-    rref,
-    sign_canonical,
 )
 
 
@@ -172,16 +169,18 @@ class Region:
     flat: Flat
 
 
+def _sign_canon(v: Vec) -> Vec:
+    """The one of ±v whose leading nonzero entry is positive."""
+    return max(v, tuple(-x for x in v))
+
+
 def arrangement(normals, d: int) -> Arrangement:
-    rows = mat(normals)
     canon = []
     seen = set()
-    for a in rows:
-        if len(a) != d:
-            raise ValueError("normal length does not match ambient dimension")
-        if is_zero(a):
+    for a in _int_rows(normals, d, "normal"):
+        if not any(a):
             raise ValueError("zero normal does not define a hyperplane")
-        s = sign_canonical(a)
+        s = _sign_canon(_prim(a))
         if s not in seen:
             seen.add(s)
             canon.append(s)
@@ -198,7 +197,7 @@ class IntersectionLattice:
     def __init__(self, arr: Arrangement):
         self.arrangement = arr
         d = arr.d
-        normals = [_int_vec(n) for n in arr.normals]
+        normals = arr.normals
         # closure under single-hyperplane intersection, keyed by the echelon
         # of X^perp, which is spanned by the normals of the hyperplanes
         # containing the flat X: a hyperplane contains X iff its normal
@@ -216,8 +215,7 @@ class IntersectionLattice:
                 if not any(w):
                     inside.append(i)
                 else:
-                    w = _prim(w)
-                    cuts.add(max(w, tuple(-x for x in w)))
+                    cuts.add(_sign_canon(_prim(w)))
             for w in cuts:
                 nk = tuple(_echelon(rows + [w]))
                 if nk not in found:
@@ -225,8 +223,8 @@ class IntersectionLattice:
                     work.append(nk)
             defining[key] = frozenset(inside)
         flats = sorted(
-            (Flat(kernel([row for _, row in key], d), ds) for key, ds in defining.items()),
-            key=lambda f: (-f.dim, f.subspace.basis),
+            (Flat(_kernel(key, d), ds) for key, ds in defining.items()),
+            key=lambda f: (-f.dim, f.subspace.rref),
         )
         self.flats: tuple[Flat, ...] = tuple(flats)
         n = len(flats)
@@ -308,15 +306,16 @@ def bivariate_poly(a: Arrangement, lattice: IntersectionLattice | None = None) -
 def restriction(a: Arrangement, flat) -> Arrangement:
     """The arrangement {H ∩ L : H not containing L} in coordinates of L.
 
-    Coordinates come from the canonical RREF basis of L; lattice-level and
-    polynomial outputs do not depend on this choice.
+    Coordinates come from the canonical RREF basis of L, scaled by one
+    common integer; lattice-level and polynomial outputs do not depend on
+    this choice.
     """
     sub = flat.subspace if isinstance(flat, Flat) else flat
-    restricted, _ = _restrict([_int_vec(n) for n in a.normals], _int_mat(sub.basis))
-    return Arrangement(sub.dim, _rational(restricted))
+    restricted, _ = _restrict(a.normals, _common_scale(sub.echelon))
+    return Arrangement(sub.dim, tuple(restricted))
 
 
-def _restrict(normals: list[IntVec], basis) -> tuple[list[IntVec], list]:
+def _restrict(normals: Mat, basis) -> tuple[list[Vec], list]:
     """Restrict integer normals to the span of the basis rows.
 
     Returns the restricted normals, sign-canonical, deduplicated and sorted
@@ -326,7 +325,7 @@ def _restrict(normals: list[IntVec], basis) -> tuple[list[IntVec], list]:
     """
     proj = []
     for n in normals:
-        p = _prim([_idot(row, n) for row in basis])
+        p = _prim([dot(row, n) for row in basis])
         o = next(((x > 0) - (x < 0) for x in p if x), 0)
         proj.append((p if o >= 0 else tuple(-x for x in p), o))
     restricted = sorted({p for p, o in proj if o})
@@ -342,7 +341,7 @@ def _ambient_flat(d: int) -> Flat:
     return Flat(full_space(d), frozenset())
 
 
-def _chamber_rays(normals: list[IntVec], m: int):
+def _chamber_rays(normals: list[Vec], m: int):
     """Chambers of the hyperplanes with these normals in R^m as raw
     V-representations: (common lineality, [(rays, signs)]).
 
@@ -383,7 +382,7 @@ def _sides(normals, v) -> tuple[int, int]:
     """Bitmasks of the normals with positive and with negative product with v."""
     pos = neg = 0
     for t, n in enumerate(normals):
-        s = _idot(n, v)
+        s = dot(n, v)
         if s > 0:
             pos |= 1 << t
         elif s < 0:
@@ -424,14 +423,7 @@ def _facets(rays, n: int) -> list[int]:
     return kept
 
 
-def _canon_row(v, ech: Echelon) -> tuple[IntVec, tuple[Fraction, ...]]:
-    """v reduced modulo the echelon and made primitive, as ints and Fractions:
-    the canonical generator or inequality row of `cone`."""
-    c = _prim(_ireduce(v, ech))
-    return c, tuple(map(Fraction, c))
-
-
-def _flat_regions(normals: list[IntVec], flat: Flat) -> list[Region]:
+def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
     """The chambers of the restriction to the flat, as ambient regions.
 
     Built from the insertion data alone, with no second double description:
@@ -442,41 +434,41 @@ def _flat_regions(normals: list[IntVec], flat: Flat) -> list[Region]:
     spanned by the normals of the hyperplanes containing X.
     """
     d, j = flat.subspace.dim_ambient, flat.dim
-    basis = _int_mat(flat.subspace.basis)
+    basis = _common_scale(flat.subspace.echelon)
     restricted, where = _restrict(normals, basis)
     lin_ech, chams = _chamber_rays(restricted, j)
     _ray_signs(restricted, (), [v for _, v in lin_ech])  # lineality on every hyperplane
     lin_amb = _echelon(_lift(v, basis) for _, v in lin_ech)
-    lin = Subspace(d, _rref_rows(lin_amb))
+    lin = Subspace(d, tuple(row for _, row in lin_amb))
     perp = _echelon(normals[i] for i in sorted(flat.defining_set))
-    equalities = _rref_rows(perp)
+    equalities = tuple(row for _, row in perp)
     # one ambient normal per restricted hyperplane, oriented like it
     facing: dict[int, list[int]] = {}
     for n, w in zip(normals, where):
         if w and w[0] not in facing:
             facing[w[0]] = [w[1] * x for x in n]
     # chambers share rays and facets, so each canonical row is formed once
-    gen_rows: dict[IntVec, tuple] = {}
-    sides: dict[IntVec, tuple[int, int]] = {}
-    facet_rows: dict[tuple[int, int], tuple] = {}
+    gen_rows: dict[Vec, Vec] = {}
+    sides: dict[Vec, tuple[int, int]] = {}
+    facet_rows: dict[tuple[int, int], Vec] = {}
     out = []
     for rays, signs in chams:
         vecs = [r for r, _ in rays]
         for r in vecs:
             if r not in gen_rows:
-                gen_rows[r] = _canon_row(_lift(r, basis), lin_amb)
+                gen_rows[r] = _prim(_ireduce(_lift(r, basis), lin_amb))
                 sides[r] = _sides(restricted, r)
         if _signs_of(len(restricted), [sides[r] for r in vecs]) != signs:
             raise InvariantViolation("chamber rays disagree with their insertion signs")
         facets = [(t, signs[t]) for t in _facets(rays, len(restricted))]
         for t, s in facets:
             if (t, s) not in facet_rows:
-                facet_rows[t, s] = _canon_row([-s * x for x in facing[t]], perp)
+                facet_rows[t, s] = _prim(_ireduce([-s * x for x in facing[t]], perp))
         cone = Cone(
             d=d,
-            inequalities=tuple(f for _, f in sorted(facet_rows[k] for k in facets)),
+            inequalities=tuple(sorted(facet_rows[k] for k in facets)),
             equalities=equalities,
-            generators=tuple(f for _, f in sorted(gen_rows[r] for r in vecs)),
+            generators=tuple(sorted(gen_rows[r] for r in vecs)),
             lineality=lin,
             dim=j,
             lineality_dim=lin.dim,
@@ -497,7 +489,7 @@ def chambers(a: Arrangement) -> list[Region]:
     halves have a ray strictly off it.  The chambers are the regions of the
     ambient flat, built as in `regions_j`.
     """
-    return _flat_regions([_int_vec(n) for n in a.normals], _ambient_flat(a.d))
+    return _flat_regions(a.normals, _ambient_flat(a.d))
 
 
 def regions_j(a: Arrangement, j: int,
@@ -505,14 +497,13 @@ def regions_j(a: Arrangement, j: int,
     """All j-dimensional faces of chambers: chambers of restrictions to
     j-flats, with their rays mapped back to ambient coordinates.
 
-    The flat's basis is scaled to integers by one common positive
-    denominator, so every lifted ray is a positive multiple of its rational
+    The flat's RREF basis is scaled to integers by one common positive
+    factor, so every lifted ray is a positive multiple of its rational
     lift."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
     lat = lattice or intersection_lattice(a)
-    normals = [_int_vec(n) for n in a.normals]
-    return [r for flat in lat.flats if flat.dim == j for r in _flat_regions(normals, flat)]
+    return [r for flat in lat.flats if flat.dim == j for r in _flat_regions(a.normals, flat)]
 
 
 def zaslavsky_count(a: Arrangement, j: int,
@@ -610,7 +601,7 @@ def is_generic(a: Arrangement) -> bool:
     n = len(a.normals)
     for k in range(2, min(n, a.d) + 1):
         for idx in combinations(range(n), k):
-            if len(rref([a.normals[i] for i in idx])) < k:
+            if len(_echelon(a.normals[i] for i in idx)) < k:
                 return False
     return True
 
@@ -703,15 +694,13 @@ def expected_statdim_family(family: str, j: int) -> Fraction:
 
 
 def arrangement_to_json(a: Arrangement) -> dict:
-    from .cone import matrix_to_json
-
     return {"d": a.d, "normals": matrix_to_json(a.normals)}
 
 
 def arrangement_from_json(obj: dict) -> Arrangement:
     if "d" not in obj or "normals" not in obj:
         raise ValueError("arrangement JSON requires 'd' and 'normals'")
-    return arrangement(mat(obj["normals"]), _json_dim(obj["d"]))
+    return arrangement(obj["normals"], _json_dim(obj["d"]))
 
 
 def parse_family_spec(spec: str) -> Arrangement:

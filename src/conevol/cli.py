@@ -174,7 +174,7 @@ def _cmd_cone_info(args) -> int:
         "euler_sum": fl.euler_sum,
         "cone": cone_to_json(c),
         "generators": matrix_to_json(c.generators),
-        "lineality": matrix_to_json(c.lineality.basis),
+        "lineality": matrix_to_json(c.lineality.rref),
     }
     rows = [f"ambient d        {c.d}", f"dim              {c.dim}",
             f"lineality dim    {c.lineality_dim}",

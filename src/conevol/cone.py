@@ -1,13 +1,15 @@
 """Polyhedral cones: dual representations, face lattices, polarity.
 
-Cones are stored with both representations in canonical form:
+Cones are stored with both representations in canonical form, as rows of
+Python ``int``:
 
 * generators: the extreme rays, reduced modulo the lineality space
-  (pivot coordinates of the lineality basis eliminated), scaled to
-  primitive integer vectors and sorted;
+  (pivot coordinates of the lineality basis eliminated), made primitive
+  (coprime entries) and sorted;
 * inequalities: the facet normals, which are exactly the extreme rays of
   the polar cone, canonicalized the same way modulo lin(C)^perp;
-* equalities: the RREF basis of lin(C)^perp.
+* equalities: the integer echelon of lin(C)^perp, and lineality the
+  `Subspace` of lin(C), also held as its integer echelon.
 
 Equality of cones is therefore equality of canonical data.  A face is an
 index set into its parent's two representations: the generators it
@@ -15,9 +17,10 @@ contains and the inequalities active on it.  Its own cone is built only
 when read.  The normal face F -> C° ∩ lin(F)^perp swaps the two index
 sets, as `polar` swaps the two representations, because the polar's
 generators are the parent's inequalities in order.  Conversion between the
-representations is the double description `exactlin._dd`, on Python
-``int`` vectors; the ``Fraction`` fields of `Cone` are formed in `_dd` and
-`_from_vrep`, and for region cones in `arrangement`.
+representations is the double description `exactlin._dd`.  Rational input
+is parsed once, by the constructors; the JSON wire format writes the
+equalities and the lineality as their ``Fraction`` RREF
+(`Subspace.rref`), so files are the same whatever the stored scale.
 
 Strict feasibility, `exactlin.lp_strictly_feasible`, runs on the same
 double description.  `transverse` asks it whether relint(F) ∩ relint(G) is
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from .exactlin import (
     Mat,
@@ -38,16 +40,11 @@ from .exactlin import (
     _canon_rays,
     _dd,
     _echelon,
-    _idot,
-    _int_vec,
-    _rational,
+    _int_rows,
+    _span,
     dot,
-    is_zero,
-    kernel,
     lp_strictly_feasible,
-    mat,
     orthogonal_complement,
-    subspace_from_rows,
     subspace_intersection,
     vec,
 )
@@ -79,7 +76,7 @@ class Cone:
 
     @property
     def span(self) -> Subspace:
-        return kernel(self.equalities, self.d)
+        return orthogonal_complement(Subspace(self.d, self.equalities))
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -133,13 +130,13 @@ def _masked(rows: Mat, mask: int) -> Mat:
 
 
 def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
-    gens = _canon_rays(map(_int_vec, rays), _echelon(map(_int_vec, lin.basis)))
+    gens = _canon_rays(rays, lin.echelon)
     prays, plin = _dd(gens, lin.basis, d)
     return Cone(
         d=d,
         inequalities=prays,
         equalities=plin.basis,
-        generators=_rational(gens),
+        generators=gens,
         lineality=lin,
         dim=d - plin.dim,
         lineality_dim=lin.dim,
@@ -148,29 +145,20 @@ def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
 
 def cone_from_inequalities(normals, d: int, equalities=()) -> Cone:
     """Cone {x : <a, x> <= 0 for all a} via double description."""
-    normals = mat(normals)
-    eqs = mat(equalities)
-    for a in normals:
-        if len(a) != d:
-            raise ValueError("normal length does not match ambient dimension")
-        if is_zero(a):
-            raise ValueError("zero normal encodes no constraint")
-    for e in eqs:
-        if len(e) != d:
-            raise ValueError("equality length does not match ambient dimension")
+    normals = _int_rows(normals, d, "normal")
+    eqs = _int_rows(equalities, d, "equality")
+    if not all(map(any, normals)):
+        raise ValueError("zero normal encodes no constraint")
     rays, lin = _dd(normals, eqs, d)
     return _from_vrep(rays, lin, d)
 
 
 def cone_from_generators(rays, lineality=(), d: int | None = None) -> Cone:
     """Cone generated by rays plus a lineality space; H-rep via the polar."""
-    rays = mat(rays)
-    lin_rows = mat(lineality)
     if d is None:
         raise ValueError("ambient dimension d is required")
-    for r in rays + lin_rows:
-        if len(r) != d:
-            raise ValueError("vector length does not match ambient dimension")
+    rays = _int_rows(rays, d, "vector")
+    lin_rows = _int_rows(lineality, d, "vector")
     prays, plin = _dd(rays, lin_rows, d)  # V-rep of the polar cone
     rrays, rlin = _dd(prays, plin.basis, d)  # back to C = (C°)°
     return Cone(
@@ -218,12 +206,11 @@ def face_lattice(c: Cone) -> FaceLattice:
     """
     gens = c.generators
     n = len(gens)
-    int_gens = [_int_vec(r) for r in gens]
     facet_masks = []
-    for a in map(_int_vec, c.inequalities):
+    for a in c.inequalities:
         mask = 0
-        for i, r in enumerate(int_gens):
-            if not _idot(a, r):
+        for i, r in enumerate(gens):
+            if not dot(a, r):
                 mask |= 1 << i
         facet_masks.append(mask)
     full = (1 << n) - 1
@@ -239,7 +226,7 @@ def face_lattice(c: Cone) -> FaceLattice:
 
     faces = []
     for msk in masks:
-        span = subspace_from_rows(_masked(gens, msk) + c.lineality.basis, c.d)
+        span = _span(_masked(gens, msk) + c.lineality.basis, c.d)
         active = frozenset(
             i for i, fm in enumerate(facet_masks) if msk & fm == msk
         )
@@ -264,7 +251,7 @@ def normal_face(c: Cone, f: Face) -> Face:
     if f.parent != c:
         raise ValueError("face does not belong to this cone")
     normals = tuple(c.inequalities[i] for i in sorted(f.active))
-    span = subspace_from_rows(normals + c.equalities, c.d)
+    span = _span(normals + c.equalities, c.d)
     return Face(polar(c), span, span.dim, sum(1 << i for i in f.active),
                 frozenset(i for i in range(len(c.generators)) if f.gen_mask >> i & 1))
 
@@ -303,8 +290,8 @@ def minkowski_sum(c: Cone, other: Cone) -> Cone:
 def product(c: Cone, other: Cone) -> Cone:
     """Direct product C x D in R^(d_C + d_D) (block coordinates)."""
     d = c.d + other.d
-    pad_l = lambda v: v + (Fraction(0),) * other.d
-    pad_r = lambda v: (Fraction(0),) * c.d + v
+    pad_l = lambda v: v + (0,) * other.d
+    pad_r = lambda v: (0,) * c.d + v
     gens = [pad_l(g) for g in c.generators] + [pad_r(g) for g in other.generators]
     lin = [pad_l(v) for v in c.lineality.basis] + [pad_r(v) for v in other.lineality.basis]
     return cone_from_generators(gens, lin, d)
@@ -352,7 +339,7 @@ def transverse(f: Face, g: Face) -> bool:
     d = f.parent.d
     # dims add iff span F + span G = R^d, since dim(U ∩ W) = dim U + dim W
     # - dim(U + W); one echelon rejects most pairs before the intersection
-    if len(_echelon(map(_int_vec, f.span.basis + g.span.basis))) != d:
+    if len(_echelon(f.span.basis + g.span.basis)) != d:
         return False
     s = subspace_intersection(f.span, g.span)
     strict = [
@@ -369,20 +356,22 @@ def transverse(f: Face, g: Face) -> bool:
 # JSON wire format
 
 
-def rational_to_json(x: Fraction):
+def rational_to_json(x):
+    """An int, or a Fraction as an int or a 'p/q' string."""
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def matrix_to_json(rows: Mat):
+def matrix_to_json(rows):
     return [[rational_to_json(x) for x in row] for row in rows]
 
 
 def cone_to_json(c: Cone) -> dict:
-    """Canonical H-representation; parsing it back reproduces the cone."""
+    """Canonical H-representation, equalities in RREF; parsing it back
+    reproduces the cone."""
     return {
         "d": c.d,
         "inequalities": matrix_to_json(c.inequalities),
-        "equalities": matrix_to_json(c.equalities),
+        "equalities": matrix_to_json(Subspace(c.d, c.equalities).rref),
     }
 
 
@@ -403,9 +392,6 @@ def cone_from_json(obj: dict) -> Cone:
     if has_h == has_v:
         raise ValueError("give exactly one of the H- or V-representation")
     if has_h:
-        return cone_from_inequalities(
-            mat(obj.get("inequalities", [])), d, mat(obj.get("equalities", []))
-        )
-    return cone_from_generators(
-        mat(obj.get("generators", [])), mat(obj.get("lineality", [])), d
-    )
+        return cone_from_inequalities(obj.get("inequalities", []), d,
+                                      obj.get("equalities", []))
+    return cone_from_generators(obj.get("generators", []), obj.get("lineality", []), d)

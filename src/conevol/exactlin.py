@@ -1,21 +1,22 @@
-"""Exact linear algebra: row reduction, kernels, double description and
-strict feasibility.
+"""Exact linear algebra on integer rows: echelons, kernels, double
+description and strict feasibility.
 
 All combinatorial layers of the package run over exact arithmetic; floating
-point enters only in the Monte Carlo modules.  At the API, vectors are
-tuples of ``fractions.Fraction`` and matrices are tuples of row vectors.
-Subspaces are kept canonical: the basis is the unique reduced row echelon
-form of the row space, so subspace equality is basis equality and
-subspaces can be used as dictionary keys.
+point enters only in the Monte Carlo modules.  Vectors are tuples of Python
+``int`` and matrices are tuples of rows.  Rational input ('3/4', Fractions)
+is parsed once, at the API, and each row scaled by the lcm of its
+denominators; rays, normals and spans are direction data, and positive
+scaling changes no sign, no zero set and no direction.
 
-Inside, the elimination behind `rref` and `kernel`, the double description
-that `cone` and `arrangement` share, and strict feasibility run on coprime
-Python ``int`` vectors: a rational vector is scaled by the lcm of its
-denominators, and a basis is kept as an echelon of integer rows that are
-positive multiples of the RREF rows (fraction-free Gauss–Jordan, each new
-row divided by its content).  Positive scaling changes no sign and no
-direction, and ``Fraction`` values are formed only where results leave
-these routines.
+A subspace is kept as its integer echelon: coprime rows with a positive
+pivot, sorted by pivot column, each a positive multiple of the matching row
+of the reduced row echelon form (RREF) and zero at every other pivot
+column.  That echelon is unique, so subspace equality is basis equality and
+subspaces can be used as dictionary keys.  `Subspace.rref` forms the
+``Fraction`` RREF from it on demand, for JSON and for callers that need
+rational values; `rref` does the same for any rows.  Elimination is
+fraction-free Gauss–Jordan (after Bareiss): each new row is reduced,
+divided by its content, and then cleared from the rows before it.
 
 `_dd` converts {x : ineqs.x <= 0, eq_rows.x = 0} to extreme rays plus a
 lineality space by the double description method (Fukuda–Prodon),
@@ -47,13 +48,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-IntVec = tuple[int, ...]
-Echelon = list[tuple[int, IntVec]]  # (pivot column, row) pairs by pivot
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Echelon = list[tuple[int, Vec]]  # (pivot column, row) pairs by pivot
+RatMat = tuple[tuple[Fraction, ...], ...]  # parsed input and RREF rows
 
 
 def rat(x) -> Fraction:
@@ -76,11 +74,11 @@ def rat(x) -> Fraction:
     raise ValueError(f"cannot interpret {x!r} as a rational")
 
 
-def vec(xs: Iterable) -> Vec:
+def vec(xs: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in xs)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
+def mat(rows: Iterable[Iterable]) -> RatMat:
     out = tuple(vec(r) for r in rows)
     if out:
         width = len(out[0])
@@ -90,52 +88,20 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+def dot(u: Sequence, v: Sequence):
+    return sum(map(mul, u, v))
 
 
-def is_zero(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
-
-
-def unit_vec(i: int, dim: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(dim))
-
-
-def primitive(v: Sequence[Fraction]) -> Vec:
-    """Scale by a positive rational to the coprime-integer representative.
-
-    Keeps the direction (rays must not be flipped); the zero vector maps to
-    itself.
-    """
-    return tuple(map(Fraction, _prim(_int_vec(v))))
-
-
-def sign_canonical(v: Sequence[Fraction]) -> Vec:
-    """Primitive representative with positive leading nonzero entry.
-
-    Canonical form for objects defined only up to a nonzero scalar
-    (hyperplane normals).
-    """
-    p = primitive(v)
-    for a in p:
-        if a < 0:
-            return tuple(-x for x in p)
-        if a > 0:
-            return p
-    return p
-
-
-def rref(rows: Iterable[Sequence]) -> Mat:
+def rref(rows: Iterable[Sequence]) -> RatMat:
     """Unique reduced row echelon form; zero rows are dropped.
 
     The row space is preserved, so rref is a canonical form for it.
     """
-    return _rref_rows(_echelon(_int_vec(r) for r in rows))
+    return _rref_rows(_echelon(map(_int_vec, rows)))
 
 
 def rank(rows: Iterable[Sequence]) -> int:
-    return len(rref(rows))
+    return len(_echelon(map(_int_vec, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +109,8 @@ def rank(rows: Iterable[Sequence]) -> int:
 
 
 def _int_vec(v: Sequence) -> list[int]:
-    """v scaled by the lcm of its denominators: a positive integer multiple."""
+    """A rational row, parsed by `rat`, scaled by the lcm of its
+    denominators: a positive integer multiple."""
     xs = [x if type(x) is int or type(x) is Fraction else rat(x) for x in v]
     den = lcm(*[x.denominator for x in xs])
     if den == 1:
@@ -151,20 +118,19 @@ def _int_vec(v: Sequence) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in xs]
 
 
-def _int_mat(rows: Mat) -> list[list[int]]:
-    """Rational rows scaled by one common positive denominator."""
-    den = lcm(*[x.denominator for r in rows for x in r])
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+def _int_rows(rows: Iterable[Sequence], d: int, what: str = "row") -> list[list[int]]:
+    """Rational rows parsed by `_int_vec`; raises unless each has length d."""
+    out = [_int_vec(r) for r in rows]
+    for r in out:
+        if len(r) != d:
+            raise ValueError(f"{what} length does not match ambient dimension")
+    return out
 
 
-def _prim(v: Sequence[int]) -> IntVec:
+def _prim(v: Sequence[int]) -> Vec:
     """v divided by the gcd of its entries; the zero vector stays zero."""
     g = gcd(*v)
     return tuple(v) if g <= 1 else tuple(x // g for x in v)
-
-
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
 
 
 def _ireduce(w: Sequence[int], ech: Echelon) -> list[int]:
@@ -207,7 +173,7 @@ def _echelon(rows: Iterable[Sequence[int]]) -> Echelon:
     return ech
 
 
-def _rref_rows(ech: Echelon) -> Mat:
+def _rref_rows(ech: Echelon) -> RatMat:
     """The RREF rows of an echelon: each row divided by its pivot entry."""
     return tuple(
         tuple(map(Fraction, row)) if row[p] == 1 else tuple(Fraction(x, row[p]) for x in row)
@@ -215,48 +181,49 @@ def _rref_rows(ech: Echelon) -> Mat:
     )
 
 
-def _rational(rows: Iterable[Sequence[int]]) -> Mat:
-    return tuple(tuple(map(Fraction, r)) for r in rows)
+def _common_scale(ech: Echelon) -> list[list[int]]:
+    """The RREF rows of an echelon times one common positive integer, the
+    lcm of the pivot entries: the integer rows of least common scale."""
+    m = lcm(*(row[p] for p, row in ech))
+    return [[x * (m // row[p]) for x in row] for p, row in ech]
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace identified by the RREF basis of its row space."""
+    """A linear subspace identified by the integer echelon of its row space:
+    coprime rows with a positive pivot, sorted by pivot, each a positive
+    multiple of its RREF row.  The RREF is derived, never stored."""
 
     dim_ambient: int
-    basis: Mat  # rows in reduced row echelon form; () is the zero subspace
+    basis: Mat  # the integer echelon; () is the zero subspace
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return is_zero(self.reduce(v))
+    @property
+    def echelon(self) -> Echelon:
+        return [(next(j for j, x in enumerate(row) if x), row) for row in self.basis]
 
-    def reduce(self, v: Sequence[Fraction]) -> Vec:
-        """Canonical representative of v modulo the subspace.
+    @property
+    def rref(self) -> RatMat:
+        """The canonical RREF basis, each echelon row divided by its pivot."""
+        return _rref_rows(self.echelon)
 
-        Eliminates the pivot coordinates; v is in the subspace iff the
-        result is zero.
-        """
-        w = list(vec(v))
-        for row in self.basis:
-            p = next(j for j, a in enumerate(row) if a != 0)
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
+    def contains(self, v: Sequence) -> bool:
+        return not any(_ireduce(v, self.echelon))
+
+
+def _span(rows: Iterable[Sequence[int]], dim: int) -> Subspace:
+    return Subspace(dim, tuple(row for _, row in _echelon(rows)))
 
 
 def subspace_from_rows(rows: Iterable[Sequence], dim: int) -> Subspace:
-    basis = rref(rows)
-    if basis and len(basis[0]) != dim:
-        raise ValueError("row width does not match ambient dimension")
-    return Subspace(dim, basis)
+    return _span(_int_rows(rows, dim), dim)
 
 
 def full_space(dim: int) -> Subspace:
-    return Subspace(dim, tuple(unit_vec(i, dim) for i in range(dim)))
+    return Subspace(dim, tuple(row for _, row in _unit_echelon(dim)))
 
 
 def zero_subspace(dim: int) -> Subspace:
@@ -265,9 +232,11 @@ def zero_subspace(dim: int) -> Subspace:
 
 def kernel(rows: Iterable[Sequence], dim: int) -> Subspace:
     """The subspace {x : rows . x = 0} in R^dim."""
-    ech = _echelon(_int_vec(r) for r in rows)
-    if ech and len(ech[0][1]) != dim:
-        raise ValueError("row width does not match ambient dimension")
+    return _kernel(_echelon(_int_rows(rows, dim)), dim)
+
+
+def _kernel(ech: Echelon, dim: int) -> Subspace:
+    """{x : rows . x = 0} for the rows of an echelon of width dim."""
     # x_f = e_f - sum_i (row_i[f] / c_i) e_{p_i}, scaled by m = lcm(c_i)
     m = lcm(*(row[p] for p, row in ech))
     pivots = {p for p, _ in ech}
@@ -280,26 +249,26 @@ def kernel(rows: Iterable[Sequence], dim: int) -> Subspace:
         for p, row in ech:
             x[p] = -row[f] * (m // row[p])
         basis.append(x)
-    return Subspace(dim, _rref_rows(_echelon(basis)))
+    return _span(basis, dim)
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
     """All vectors orthogonal to the subspace."""
-    return kernel(s.basis, s.dim_ambient)
+    return _kernel(s.echelon, s.dim_ambient)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.dim_ambient != b.dim_ambient:
         raise ValueError("ambient dimensions differ")
     rows = orthogonal_complement(a).basis + orthogonal_complement(b).basis
-    return kernel(rows, a.dim_ambient)
+    return _kernel(_echelon(rows), a.dim_ambient)
 
 
 # ---------------------------------------------------------------------------
 # Double description on integer vectors.
 
 
-def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
+def _canon_rays(rays, lin: Echelon) -> Mat:
     out = []
     seen = set()
     for r in rays:
@@ -307,17 +276,17 @@ def _canon_rays(rays, lin: Echelon) -> list[IntVec]:
         if any(rr) and rr not in seen:
             seen.add(rr)
             out.append(rr)
-    return sorted(out)
+    return tuple(sorted(out))
 
 
-def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: IntVec) -> Sequence[int]:
+def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: Vec) -> Sequence[int]:
     """Project r along u onto <a, x> = 0, where s0 = <a, u> > 0: the positive
     multiple s0 r - <a, r> u of r - (<a, r> / s0) u."""
-    s = _idot(a, r)
+    s = dot(a, r)
     return [s0 * x - s * y for x, y in zip(r, u)] if s else r
 
 
-def _lin_cut(lin: Echelon, a: IntVec):
+def _lin_cut(lin: Echelon, a: Vec):
     """The lineality half of a DD step, shared by every cone cut by <a, x> = 0.
 
     Returns (lineality, cut).  cut is None when the lineality lies inside
@@ -327,7 +296,7 @@ def _lin_cut(lin: Echelon, a: IntVec):
     new lineality, which becomes a ray on the + side and, negated, on the -.
     """
     for i, (_, v) in enumerate(lin):
-        s0 = _idot(a, v)
+        s0 = dot(a, v)
         if s0:
             break
     else:
@@ -338,7 +307,7 @@ def _lin_cut(lin: Echelon, a: IntVec):
     return new_lin, (u, s0, _prim(_ireduce(u, new_lin)))
 
 
-def _dd_step(rays, lin: Echelon, cut, a: IntVec, t: int):
+def _dd_step(rays, lin: Echelon, cut, a: Vec, t: int):
     """The ray half of a DD step: cut lin + cone(rays) by <a, x> = 0.
 
     Rays are (vector, zero-set bitmask) pairs, taken modulo lin, the
@@ -358,7 +327,7 @@ def _dd_step(rays, lin: Echelon, cut, a: IntVec, t: int):
     # lineality is inside the hyperplane; split the pointed part
     plus, zero, minus = [], [], []
     for idx, (r, z) in enumerate(rays):
-        s = _idot(a, r)
+        s = dot(a, r)
         if s > 0:
             plus.append((idx, r, z, s))
         elif s < 0:
@@ -391,35 +360,36 @@ def _unit_echelon(m: int) -> Echelon:
 
 
 def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
-    """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}.
+    """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}
+    for integer rows.
 
     Returns (extreme rays, lineality subspace), both canonicalized.  The
-    basis of {eq_rows.x = 0} is scaled to integers by one common positive
-    denominator, so coordinates in it change by a global positive scalar
-    only.
+    cone is converted in the coordinates of the integer echelon of
+    {eq_rows.x = 0}; a coordinate that changes by a positive factor changes
+    no sign, zero set or direction, so the result does not depend on the
+    scale of that basis.
     """
-    amb = kernel(eq_rows, d)
+    amb = _kernel(_echelon(eq_rows), d)
     if amb.dim == 0:
         return (), zero_subspace(d)
-    basis = _int_mat(amb.basis)
+    basis = amb.basis
     cons = []
     seen = set()
     for a in ineqs:
-        a = _int_vec(a)
-        ap = _prim([_idot(row, a) for row in basis])
+        ap = _prim([dot(row, a) for row in basis])
         if any(ap) and ap not in seen:
             seen.add(ap)
             cons.append(ap)
 
     lin = _unit_echelon(amb.dim)
-    rays: list[tuple[IntVec, int]] = []
+    rays: list[tuple[Vec, int]] = []
     for t, a in enumerate(cons):
         lin, cut = _lin_cut(lin, a)
         _, rays = _dd_step(rays, lin, cut, a, t)
 
     lin_ambient = _echelon(_lift(row, basis) for _, row in lin)
     rays = _canon_rays([_lift(r, basis) for r, _ in rays], lin_ambient)
-    return _rational(rays), Subspace(d, _rref_rows(lin_ambient))
+    return rays, Subspace(d, tuple(row for _, row in lin_ambient))
 
 
 def _lift(y, basis) -> tuple:
@@ -427,7 +397,7 @@ def _lift(y, basis) -> tuple:
     return tuple(sum(map(mul, y, col)) for col in zip(*basis))
 
 
-def lp_strictly_feasible(strict: Sequence[Sequence[Fraction]], ambient_dim: int) -> bool:
+def lp_strictly_feasible(strict: Sequence[Sequence], ambient_dim: int) -> bool:
     """Exact test for existence of x with <a_i, x> > 0 for all given a_i.
 
     Runs the double description of the closed cone {x : <a_i, x> >= 0}.  Its
@@ -436,9 +406,6 @@ def lp_strictly_feasible(strict: Sequence[Sequence[Fraction]], ambient_dim: int)
     extreme rays satisfies every strict inequality at once.  A zero row is
     never satisfied; an empty list is vacuously feasible (witnessed by x = 0).
     """
-    normals = [vec(a) for a in strict]
-    for a in normals:
-        if len(a) != ambient_dim:
-            raise ValueError("normal length does not match ambient dimension")
-    rays, _ = _dd([tuple(-x for x in a) for a in normals], (), ambient_dim)
+    normals = _int_rows(strict, ambient_dim, "normal")
+    rays, _ = _dd([[-x for x in a] for a in normals], (), ambient_dim)
     return all(any(dot(a, r) > 0 for r in rays) for a in normals)

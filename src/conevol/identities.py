@@ -61,7 +61,7 @@ from .cone import (
     polar,
     transverse,
 )
-from .exactlin import kernel, mat, vec
+from .exactlin import dot, kernel
 from .volumes import (
     IVEstimate,
     SampleConfig,
@@ -386,15 +386,14 @@ def _normal_of(f: Face, k: Face) -> Cone:
 
 def rationalize_matrix(q: np.ndarray, bits: int = 40):
     scale = 1 << bits
-    return mat([[Fraction(round(float(x) * scale), scale) for x in row] for row in q])
+    return tuple(tuple(Fraction(round(float(x) * scale), scale) for x in row) for row in q)
 
 
-def _apply_rational_rotation(qm, c: Cone) -> Cone:
-    gens = [vec([sum(qm[i][j] * g[j] for j in range(c.d)) for i in range(c.d)])
-            for g in c.generators]
-    lin = [vec([sum(qm[i][j] * v[j] for j in range(c.d)) for i in range(c.d)])
-           for v in c.lineality.basis]
-    return cone_from_generators(gens, lin, c.d)
+def _rotate(qm, c: Cone) -> Cone:
+    """QC for a rational matrix Q, built exactly from C's rows."""
+    def image(rows):
+        return [[dot(q, v) for q in qm] for v in rows]
+    return cone_from_generators(image(c.generators), image(c.lineality.basis), c.d)
 
 
 def _product_iv(c: Cone, d_cone: Cone, cfg: SampleConfig, tags):
@@ -434,8 +433,7 @@ def _rotations(d_cone: Cone, trials: int, seed: int, rng_tag: int):
     (seed, rng_tag) and rationalized so that QD is built exactly."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, rng_tag)))
     for _ in range(trials):
-        yield _apply_rational_rotation(rationalize_matrix(haar_rotation(d_cone.d, rng)),
-                                       d_cone)
+        yield _rotate(rationalize_matrix(haar_rotation(d_cone.d, rng)), d_cone)
 
 
 def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
@@ -653,15 +651,12 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
     lat = intersection_lattice(a)
     rng = random.Random(seed)
     while True:
-        h = vec([rng.randint(-19, 19) for _ in range(a.d)])
+        h = [rng.randint(-19, 19) for _ in range(a.d)]
         if all(x == 0 for x in h):
             continue
-        if all(
-            f.dim == 0 or any(_dot_nonzero(h, b) for b in f.subspace.basis)
-            for f in lat.flats
-        ):
+        if all(f.dim == 0 or any(dot(h, b) for b in f.subspace.basis) for f in lat.flats):
             break
-    sliced = restriction(a, kernel([vec(h)], a.d))
+    sliced = restriction(a, kernel([h], a.d))
     chi = level_char_poly(a, j, lat)
     expected = [chi.coefficient(0) + chi.coefficient(1)] + [
         chi.coefficient(k) for k in range(2, j + 1)
@@ -673,10 +668,6 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
     ok = got_coeffs == expected and r_got == r_pred
     return _report_exact(f"generic-slice[j={j}]", int(not ok), got_coeffs, expected,
                          seed=seed, notes=f"r_{j-1} slice: {r_got} vs {r_pred}")
-
-
-def _dot_nonzero(h, b) -> bool:
-    return sum(x * y for x, y in zip(h, b)) != 0
 
 
 def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationReport:

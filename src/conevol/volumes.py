@@ -162,9 +162,10 @@ class ProjectionKernel:
             if f.dim == 0:
                 q = np.zeros((d, 0))
             else:
-                rows = np.array(
-                    [[float(x) for x in row] for row in f.span.basis], dtype=float
-                )
+                # the RREF rows in float, each entry row[j] / row[p] correctly
+                # rounded as float(Fraction(row[j], row[p])) would be; QR of
+                # the unscaled integer rows would round differently
+                rows = np.array([[x / row[p] for x in row] for p, row in f.span.echelon])
                 q, _ = np.linalg.qr(rows.T)
             proj = q @ q.T
             self.bases.append(q)

@@ -7,8 +7,6 @@ region's signs off its canonical cone; `arr_product` builds product
 arrangements for the multiplicativity test.
 """
 
-from fractions import Fraction
-
 from conevol.arrangement import Arrangement, Polynomial, arrangement
 from conevol.cone import Cone, InvariantViolation
 from conevol.exactlin import dot, full_space, kernel, rank, rref
@@ -28,8 +26,8 @@ def whitney_char_poly(a: Arrangement) -> Polynomial:
 
 def arr_product(a: Arrangement, b: Arrangement) -> Arrangement:
     """Product arrangement in R^(d_a + d_b)."""
-    rows = [tuple(n) + (Fraction(0),) * b.d for n in a.normals]
-    rows += [(Fraction(0),) * a.d + tuple(n) for n in b.normals]
+    rows = [n + (0,) * b.d for n in a.normals]
+    rows += [(0,) * a.d + n for n in b.normals]
     return arrangement(rows, a.d + b.d)
 
 
@@ -38,7 +36,7 @@ def rational_lattice(a: Arrangement):
     per (flat, hyperplane) pair.
 
     Returns the flats as (subspace, defining set) pairs, sorted by
-    (-dim, basis), and the Möbius table over pairs x <= y, with the order
+    (-dim, RREF basis), and the Möbius table over pairs x <= y, with the order
     read off subspace containment rather than defining sets.
     """
     d = a.d
@@ -55,7 +53,7 @@ def rational_lattice(a: Arrangement):
             if ns.basis not in found:
                 found[ns.basis] = ns
                 work.append((nr, ns))
-    subs = sorted(found.values(), key=lambda s: (-s.dim, s.basis))
+    subs = sorted(found.values(), key=lambda s: (-s.dim, s.rref))
     flats = [
         (s, frozenset(i for i, n in enumerate(a.normals)
                       if all(dot(b, n) == 0 for b in s.basis)))

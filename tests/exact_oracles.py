@@ -5,7 +5,10 @@ Everything here works on ``fractions.Fraction`` throughout and shares no
 arithmetic with the integer routines of `conevol.exactlin`: the tests
 compare `rref`, `kernel`, `cone_from_inequalities`, `cone_from_generators`,
 `lp_strictly_feasible` and `canonical_decomposition` against these
-references, which must agree exactly.
+references, which must agree exactly.  Subspaces are carried as RREF rows
+and converted only where a `Cone` or `Subspace` is returned: an RREF row
+times the lcm of its denominators is the coprime integer row, with a
+positive pivot, that the package stores.
 """
 
 from fractions import Fraction
@@ -13,7 +16,10 @@ from math import gcd
 from typing import Sequence
 
 from conevol.cone import Cone
-from conevol.exactlin import Mat, Subspace, Vec, dot, mat, rat, vec
+from conevol.exactlin import Subspace, dot, mat, rat, vec
+
+Mat = tuple[tuple[Fraction, ...], ...]
+Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -45,6 +51,10 @@ def rref(rows):
 
 
 def kernel(rows, dim):
+    return subspace(kernel_rref(rows, dim), dim)
+
+
+def kernel_rref(rows, dim):
     r = rref(rows)
     pivots = [next(j for j, a in enumerate(row) if a != 0) for row in r]
     basis = []
@@ -54,7 +64,28 @@ def kernel(rows, dim):
         for i, p in enumerate(pivots):
             x[p] = -r[i][f]
         basis.append(tuple(x))
-    return Subspace(dim, rref(basis))
+    return rref(basis)
+
+
+def subspace(rref_rows, dim):
+    """The package's Subspace of the span of RREF rows: its integer echelon."""
+    return Subspace(dim, _ints(primitive(r) for r in rref_rows))
+
+
+def _ints(rows):
+    """Rows of integral Fractions as tuples of ints."""
+    return tuple(tuple(int(x) for x in r) for r in rows)
+
+
+def reduce(rref_rows, v):
+    """v modulo the span of RREF rows: every pivot coordinate eliminated."""
+    w = list(vec(v))
+    for row in rref_rows:
+        p = next(j for j, a in enumerate(row) if a != 0)
+        if w[p] != 0:
+            f = w[p]
+            w = [a - f * b for a, b in zip(w, row)]
+    return tuple(w)
 
 
 def primitive(v):
@@ -78,7 +109,7 @@ def _canon_rays(rays, lin):
     out = []
     seen = set()
     for r in rays:
-        rr = primitive(lin.reduce(r))
+        rr = primitive(reduce(lin, r))
         if any(rr) and rr not in seen:
             seen.add(rr)
             out.append(rr)
@@ -93,10 +124,9 @@ def _dd_step(rays, lin_rows, a, t):
         s0 = dot(a, v0)
         lin_rows = rref([_shift(row, v0, dot(a, row), s0)
                          for i, row in enumerate(lin_rows) if i != hit])
-        lin_sub = Subspace(len(a), lin_rows)
-        on = [(primitive(lin_sub.reduce(_shift(r, v0, dot(a, r), s0))), z | (1 << t))
+        on = [(primitive(reduce(lin_rows, _shift(r, v0, dot(a, r), s0))), z | (1 << t))
               for r, z in rays]
-        up = primitive(lin_sub.reduce(v0))
+        up = primitive(reduce(lin_rows, v0))
         down = tuple(-x for x in up)
         if s0 < 0:
             up, down = down, up
@@ -134,28 +164,29 @@ def _lift(y, basis):
 
 
 def _dd(ineqs, eq_rows, d):
-    amb = kernel(eq_rows, d)
-    if amb.dim == 0:
-        return (), Subspace(d, ())
-    basis = amb.basis
+    """(extreme rays, RREF rows of the lineality space)."""
+    basis = kernel_rref(eq_rows, d)
+    if not basis:
+        return (), ()
     cons = []
     for a in ineqs:
         ap = primitive(tuple(dot(row, a) for row in basis))
         if any(ap) and ap not in cons:
             cons.append(ap)
-    lin_rows = tuple(tuple(Fraction(int(i == j)) for j in range(amb.dim))
-                     for i in range(amb.dim))
+    lin_rows = tuple(tuple(Fraction(int(i == j)) for j in range(len(basis)))
+                     for i in range(len(basis)))
     rays = []
     for t, a in enumerate(cons):
         lin_rows, _, rays = _dd_step(rays, lin_rows, a, t)
-    lin = Subspace(d, rref([_lift(row, basis) for row in lin_rows]))
+    lin = rref([_lift(row, basis) for row in lin_rows])
     return _canon_rays([_lift(r, basis) for r, _ in rays], lin), lin
 
 
 def _from_vrep(rays, lin, d):
     gens = _canon_rays(mat(rays), lin)
-    prays, plin = _dd(gens, lin.basis, d)
-    return Cone(d, prays, plin.basis, gens, lin, d - plin.dim, lin.dim)
+    prays, plin = _dd(gens, lin, d)
+    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(gens), subspace(lin, d),
+                d - len(plin), len(lin))
 
 
 def cone_from_inequalities(normals, d, equalities=()):
@@ -165,8 +196,9 @@ def cone_from_inequalities(normals, d, equalities=()):
 
 def cone_from_generators(rays, lineality, d):
     prays, plin = _dd(mat(rays), mat(lineality), d)
-    rrays, rlin = _dd(prays, plin.basis, d)
-    return Cone(d, prays, plin.basis, rrays, rlin, d - plin.dim, rlin.dim)
+    rrays, rlin = _dd(prays, plin, d)
+    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(rrays), subspace(rlin, d),
+                d - len(plin), len(rlin))
 
 
 # ---------------------------------------------------------------------------
@@ -341,5 +373,5 @@ def canonical_decomposition(c):
     lin = c.lineality
     if lin.dim == 0:
         return lin, c
-    proj = [project_off(lin.basis, g) for g in c.generators]
+    proj = [project_off(lin.rref, g) for g in c.generators]
     return lin, cone_from_generators(proj, (), c.d)

@@ -34,7 +34,6 @@ from conevol.arrangement import (
 from conevol.catalog import build_arrangements
 from conevol.cone import (
     InvariantViolation,
-    _from_vrep,
     cone_from_generators,
     cone_from_inequalities,
 )
@@ -219,11 +218,11 @@ def reference_regions_j(a: Arrangement, j: int) -> list[tuple]:
     for flat in intersection_lattice(a).flats:
         if flat.dim != j:
             continue
-        basis = flat.subspace.basis
+        basis = flat.subspace.rref  # the coordinates `restriction` uses, up to scale
         for reg in chambers(restriction(a, flat)):
             gens = [_lift(g, basis) for g in reg.cone.generators]
             lin = [_lift(v, basis) for v in reg.cone.lineality.basis]
-            cone = _from_vrep(gens, subspace_from_rows(lin, a.d), a.d)
+            cone = cone_from_generators(gens, lin, a.d)
             inner = tuple(sum(xs) for xs in zip(*gens)) if gens else (0,) * a.d
             signs = tuple((dot(n, inner) > 0) - (dot(n, inner) < 0) for n in a.normals)
             out.append((signs, cone, flat))
@@ -296,6 +295,21 @@ def test_lattice_matches_rational_closure_random(a):
     assert sorted(lat.mobius.items()) == sorted(mobius.items())
 
 
+def test_flats_ordered_by_rref_not_integer_echelon():
+    # generic-3d-n5 has flats with fractional RREF entries, on which the
+    # integer echelon sorts differently; regions_j, and every sub-seed drawn
+    # from its region list, follow the RREF order
+    a = dict(build_arrangements())["generic-3d-n5"]
+    lat = intersection_lattice(a)
+    flats = list(lat.flats)
+    assert flats == sorted(flats, key=lambda f: (-f.dim, f.subspace.rref))
+    assert flats != sorted(flats, key=lambda f: (-f.dim, f.subspace.basis))
+    for j in range(a.d + 1):
+        order = [flats.index(r.flat) for r in regions_j(a, j, lat)]
+        assert order == sorted(order), j
+        assert set(order) == {x for x, f in enumerate(flats) if f.dim == j}, j
+
+
 def test_region_sign_vector_rejects_straddling():
     a = arrangement([[1, 0]], 2)
 
@@ -311,14 +325,22 @@ def test_region_sign_vector_rejects_straddling():
     assert _ray_signs(a.normals, *vrep(cone_from_generators([], [[0, 1]], 2))) == (0,)
 
 
-def test_region_fields_are_fractions():
+def _int_rows(rows) -> bool:
+    return type(rows) is tuple and all(
+        type(row) is tuple and all(type(x) is int for x in row) for row in rows)
+
+
+def test_region_fields_are_int_rows():
     for name, a in build_arrangements():
+        assert _int_rows(a.normals), name
         lat = intersection_lattice(a)
-        cones = [r.cone for r in chambers(a)]
-        cones += [r.cone for j in range(a.d + 1) for r in regions_j(a, j, lat)]
-        for c in cones:
-            rows = (c.inequalities, c.generators, c.equalities, c.lineality.basis)
-            assert all(type(x) is F for m in rows for row in m for x in row), name
+        assert all(_int_rows(f.subspace.basis) for f in lat.flats), name
+        regs = chambers(a) + [r for j in range(a.d + 1) for r in regions_j(a, j, lat)]
+        for r in regs:
+            c = r.cone
+            rows = (c.inequalities, c.generators, c.equalities, c.lineality.basis,
+                    r.flat.subspace.basis)
+            assert all(_int_rows(m) for m in rows), name
 
 
 def test_zaslavsky_all_catalog():

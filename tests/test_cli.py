@@ -57,18 +57,36 @@ def test_verify_failure_exit_one():
     assert code == 1
 
 
-def test_exit_code_two_on_bad_input(tmp_path):
-    code, _, err = run_cli("cone-iv", str(tmp_path / "missing.json"))
+def run_main(capsys, *args):
+    """`cli.main` in-process: (exit code, stdout, stderr)."""
+    from conevol import cli
+
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_bad_input_through_the_console_entry_point(tmp_path):
+    # one case through a fresh interpreter: an input error is reported on
+    # stderr without a traceback; the cases below run in-process
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"d": 2, "inequalities": [[0.5, -1]]}))
+    code, out, err = run_cli("cone-info", str(bad))
+    assert code == 2 and "error" in err and "Traceback" not in err and out == ""
+
+
+def test_exit_code_two_on_bad_input(tmp_path, capsys):
+    code, _, err = run_main(capsys, "cone-iv", str(tmp_path / "missing.json"))
     assert code == 2 and "error" in err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, _ = run_cli("cone-info", str(bad))
+    code, _, _ = run_main(capsys, "cone-info", str(bad))
     assert code == 2
-    code, _, _ = run_cli("arr-family", "frobnicate:9")
+    code, _, _ = run_main(capsys, "arr-family", "frobnicate:9")
     assert code == 2
-    code, _, _ = run_cli("verify", "unknown-identity", str(FIXTURES / "orthant2.json"))
+    code, _, _ = run_main(capsys, "verify", "unknown-identity", str(FIXTURES / "orthant2.json"))
     assert code == 2
-    code, _, _ = run_cli("no-such-verb")
+    code, _, _ = run_main(capsys, "no-such-verb")
     assert code == 2
     # entries the exact layer rejects: a float, a boolean, a zero denominator
     for verb, obj in (
@@ -78,8 +96,8 @@ def test_exit_code_two_on_bad_input(tmp_path):
         ("arr-chi", {"d": 2, "normals": [[1.0, 0.0], [0.0, 1.0]]}),
     ):
         bad.write_text(json.dumps(obj))
-        code, out, err = run_cli(verb, str(bad))
-        assert code == 2 and "Traceback" not in err and out == "", (verb, obj)
+        code, out, err = run_main(capsys, verb, str(bad))
+        assert code == 2 and "error" in err and out == "", (verb, obj)
     # an ambient dimension that is not an int >= 1 is rejected by name
     for verb, obj in (
         ("cone-info", {"d": 2.7, "inequalities": [[-1, 0]]}),
@@ -89,12 +107,12 @@ def test_exit_code_two_on_bad_input(tmp_path):
         ("arr-chi", {"d": -1, "normals": [[1, 0]]}),
     ):
         bad.write_text(json.dumps(obj))
-        code, out, err = run_cli(verb, str(bad))
+        code, out, err = run_main(capsys, verb, str(bad))
         assert code == 2 and "'d'" in err and out == "", (verb, obj, err)
     # steiner-mgf outside its finite-variance domain t < ln 2 / 2
-    code, _, err = run_cli("verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
-                           "--t-grid", "12", "--samples", "2000")
-    assert code == 2 and "Traceback" not in err
+    code, _, err = run_main(capsys, "verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
+                            "--t-grid", "12", "--samples", "2000")
+    assert code == 2 and "error" in err
     # rotation counts below one, a tolerance that is not a positive number,
     # an empty or non-finite t-grid, a kinematic or face-alternation index
     # outside 0..d and a slice level below 2 are input errors, not failed or
@@ -131,8 +149,8 @@ def test_exit_code_two_on_bad_input(tmp_path):
         (["genfun", pair[0], "--t-grid", "300"], "t = 300"),
         (["steiner-mgf", pair[0], "--t-grid=-400"], "t = -400"),
     ):
-        code, out, err = run_cli("verify", *argv, "--samples", "500")
-        assert code == 2 and name in err and "Traceback" not in err and out == "", (argv, err)
+        code, out, err = run_main(capsys, "verify", *argv, "--samples", "500")
+        assert code == 2 and name in err and out == "", (argv, err)
 
 
 def test_verify_steiner_mgf_default_grid():
@@ -251,3 +269,15 @@ def test_fixture_bytes_are_canonical():
             assert arrangement_to_json(arrangement_from_json(obj)) == obj, path.name
         else:
             assert cone_to_json(cone_from_json(obj)) == obj, path.name
+
+
+def test_json_surface_matches_recorded_output(capsys):
+    # a lineality whose RREF has a "p/q" entry: cone-info writes it as the
+    # lineality, cone-polar as the polar's equalities; both outputs were
+    # recorded when the fields were still stored as Fraction RREF rows
+    cone = str(FIXTURES / "skew-lineality.json")
+    for argv, recorded in ((["cone-info", cone, "--format", "json"], "cone-info"),
+                           (["cone-polar", cone], "cone-polar")):
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        assert out == (FIXTURES / "expected" / f"skew-lineality.{recorded}.json").read_text()

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
+from conevol.arrangement import arrangement
 from conevol.exactlin import (
     Subspace,
+    _int_vec,
+    _prim,
     dot,
     full_space,
     kernel,
     lp_strictly_feasible,
     mat,
     orthogonal_complement,
-    primitive,
     rank,
     rref,
-    sign_canonical,
     subspace_from_rows,
     subspace_intersection,
     vec,
@@ -114,15 +115,14 @@ def test_kernel_rowspace_duality_random():
         for b in ker.basis:
             for row in rows:
                 assert dot(vec(row), b) == 0
-        assert orthogonal_complement(ker).basis == rref(rows)
+        assert orthogonal_complement(ker).rref == rref(rows)
 
 
 def test_orthogonal_complement_examples():
     assert orthogonal_complement(subspace_from_rows([[1, 0]], 2)).basis == mat([[0, 1]])
     assert orthogonal_complement(full_space(3)).dim == 0
     oc = orthogonal_complement(subspace_from_rows([[1, 1, 0], [0, 0, 1]], 3))
-    assert oc.dim == 1
-    assert sign_canonical(oc.basis[0]) == vec([1, -1, 0])
+    assert oc.basis == ((1, -1, 0),)
 
 
 def test_subspace_canonical_equality():
@@ -132,6 +132,20 @@ def test_subspace_canonical_equality():
     assert a.contains([3, 3]) and not a.contains([1, 0])
 
 
+def test_subspace_holds_integer_echelon_and_derives_rref():
+    # coprime integer rows with positive pivots, each a positive multiple of
+    # its RREF row; the RREF is formed on demand and is the only Fraction
+    s = subspace_from_rows([["-1/2", "-1/4", 0], [0, 0, 3]], 3)
+    assert s.basis == ((2, 1, 0), (0, 0, 1))
+    assert all(type(x) is int for row in s.basis for x in row)
+    assert s.rref == ((1, F(1, 2), 0), (0, 0, 1))
+    assert s.rref == rref(s.basis)
+    assert s == Subspace(3, ((2, 1, 0), (0, 0, 1)))
+    assert hash(s) == hash(Subspace(3, ((2, 1, 0), (0, 0, 1))))
+    assert s.contains([F(4), 2, -7]) and not s.contains([1, 0, 0])
+    assert full_space(2).basis == ((1, 0), (0, 1)) and full_space(2).rref == mat([[1, 0], [0, 1]])
+
+
 def test_subspace_intersection():
     a = subspace_from_rows([[1, 0, 0], [0, 1, 0]], 3)
     b = subspace_from_rows([[0, 1, 0], [0, 0, 1]], 3)
@@ -139,9 +153,10 @@ def test_subspace_intersection():
 
 
 def test_primitive_scaling():
-    assert primitive(vec(["1/2", "1/3"])) == vec([3, 2])
-    assert primitive(vec([-2, 4])) == vec([-1, 2])
-    assert sign_canonical(vec([-2, 4])) == vec([1, -2])
+    assert _prim(_int_vec(["1/2", "1/3"])) == (3, 2)
+    assert _prim(_int_vec([-2, 4])) == (-1, 2)
+    # hyperplane normals are primitive with a positive leading entry
+    assert arrangement([[-2, 4]], 2).normals == ((1, -2),)
 
 
 def test_lp_open_halfplane():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import classify_oracle as oracle
 from conevol import volumes
-from conevol.catalog import build_cones
+from conevol.arrangement import chambers
+from conevol.catalog import build_arrangements, build_cones
 from conevol.cone import (
     cone_from_generators,
     cone_from_inequalities,
@@ -348,7 +349,7 @@ def reference_classify(c, lattice, g):
             p = np.zeros_like(g)
             pnorm2[:, j] = 0.0
         else:
-            rows = np.array([[float(x) for x in r] for r in f.span.basis], dtype=float)
+            rows = np.array([[float(x) for x in r] for r in f.span.rref], dtype=float)
             q, _ = np.linalg.qr(rows.T)
             v = g @ q
             p = v @ q.T
@@ -386,6 +387,24 @@ def _assert_matches_reference(c, g, same_index_everywhere):
     sel = slice(None) if same_index_everywhere else ok
     np.testing.assert_array_equal(idx[sel], r_idx[sel])
     assert np.all(np.abs(pn2[sel] - r_pn2[sel]) <= 1e-12 * scale[sel] ** 2)
+
+
+def test_kernel_bases_are_qr_of_float_rref_rows():
+    # the kernel's span rows are the float RREF rows entry for entry, so its
+    # orthonormal bases are the QR factors of float(Fraction) rows, bit for
+    # bit; most face spans of generic-3d-n5's chambers have fractional RREF
+    # entries, which QR of the unscaled integer rows would round differently
+    generic = dict(build_arrangements())["generic-3d-n5"]
+    fractional = 0
+    for c in [r.cone for r in chambers(generic)] + list(CATALOG.values()):
+        lattice = face_lattice(c)
+        for f, q in zip(lattice.faces, ProjectionKernel(c, lattice).bases):
+            if f.dim == 0:
+                continue
+            fractional += any(x.denominator != 1 for row in f.span.rref for x in row)
+            want, _ = np.linalg.qr(np.array([[float(x) for x in r] for r in f.span.rref]).T)
+            assert q.tobytes() == want.tobytes()
+    assert fractional >= 160
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
