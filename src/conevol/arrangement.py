@@ -464,15 +464,9 @@ def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
         for t, s in facets:
             if (t, s) not in facet_rows:
                 facet_rows[t, s] = _prim(_ireduce([-s * x for x in facing[t]], perp))
-        cone = Cone(
-            d=d,
-            inequalities=tuple(sorted(facet_rows[k] for k in facets)),
-            equalities=equalities,
-            generators=tuple(sorted(gen_rows[r] for r in vecs)),
-            lineality=lin,
-            dim=j,
-            lineality_dim=lin.dim,
-        )
+        cone = Cone(d=d, inequalities=tuple(sorted(facet_rows[k] for k in facets)),
+                    equalities=equalities,
+                    generators=tuple(sorted(gen_rows[r] for r in vecs)), lineality=lin)
         sv = tuple(0 if w is None else signs[w[0]] * w[1] for w in where)
         out.append(Region(sv, cone, flat))
     return out

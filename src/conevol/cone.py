@@ -11,11 +11,13 @@ Python ``int``:
 * equalities: the integer echelon of lin(C)^perp, and lineality the
   `Subspace` of lin(C), also held as its integer echelon.
 
-Equality of cones is therefore equality of canonical data.  A face is an
-index set into its parent's two representations: the generators it
-contains and the inequalities active on it.  Its own cone is built only
-when read.  The normal face F -> C° ∩ lin(F)^perp swaps the two index
-sets, as `polar` swaps the two representations, because the polar's
+Equality of cones is therefore equality of canonical data, and the
+dimensions are derived from it.  A cone builds its face lattice on the
+first `face_lattice` call and holds it.  A face is an index set into its
+parent's two representations: the generators it contains and the
+inequalities active on it.  Its own cone is built only when read, and then
+held by the face.  The normal face F -> C° ∩ lin(F)^perp swaps the two
+index sets, as `polar` swaps the two representations, because the polar's
 generators are the parent's inequalities in order.  Conversion between the
 representations is the double description `exactlin._dd`.  Rational input
 is parsed once, by the constructors; the JSON wire format writes the
@@ -63,8 +65,14 @@ class Cone:
     equalities: Mat
     generators: Mat
     lineality: Subspace
-    dim: int
-    lineality_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.d - len(self.equalities)
+
+    @property
+    def lineality_dim(self) -> int:
+        return self.lineality.dim
 
     @property
     def is_pointed(self) -> bool:
@@ -77,6 +85,10 @@ class Cone:
     @property
     def span(self) -> Subspace:
         return orthogonal_complement(Subspace(self.d, self.equalities))
+
+    @cached_property
+    def _face_lattice(self) -> FaceLattice:
+        return _build_face_lattice(self)
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -92,9 +104,12 @@ class Face:
 
     parent: Cone
     span: Subspace
-    dim: int
     gen_mask: int
     active: frozenset[int]
+
+    @property
+    def dim(self) -> int:
+        return self.span.dim
 
     @cached_property
     def cone(self) -> Cone:
@@ -132,15 +147,8 @@ def _masked(rows: Mat, mask: int) -> Mat:
 def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
     gens = _canon_rays(rays, lin.echelon)
     prays, plin = _dd(gens, lin.basis, d)
-    return Cone(
-        d=d,
-        inequalities=prays,
-        equalities=plin.basis,
-        generators=gens,
-        lineality=lin,
-        dim=d - plin.dim,
-        lineality_dim=lin.dim,
-    )
+    return Cone(d=d, inequalities=prays, equalities=plin.basis, generators=gens,
+                lineality=lin)
 
 
 def cone_from_inequalities(normals, d: int, equalities=()) -> Cone:
@@ -161,15 +169,8 @@ def cone_from_generators(rays, lineality=(), d: int | None = None) -> Cone:
     lin_rows = _int_rows(lineality, d, "vector")
     prays, plin = _dd(rays, lin_rows, d)  # V-rep of the polar cone
     rrays, rlin = _dd(prays, plin.basis, d)  # back to C = (C°)°
-    return Cone(
-        d=d,
-        inequalities=prays,
-        equalities=plin.basis,
-        generators=rrays,
-        lineality=rlin,
-        dim=d - plin.dim,
-        lineality_dim=rlin.dim,
-    )
+    return Cone(d=d, inequalities=prays, equalities=plin.basis, generators=rrays,
+                lineality=rlin)
 
 
 def subspace_cone(s: Subspace) -> Cone:
@@ -182,15 +183,8 @@ def polar(c: Cone) -> Cone:
     With canonical dual representations this is an exact swap of the two
     sides, which makes the involution property structural.
     """
-    return Cone(
-        d=c.d,
-        inequalities=c.generators,
-        equalities=c.lineality.basis,
-        generators=c.inequalities,
-        lineality=Subspace(c.d, c.equalities),
-        dim=c.d - c.lineality_dim,
-        lineality_dim=c.d - c.dim,
-    )
+    return Cone(d=c.d, inequalities=c.generators, equalities=c.lineality.basis,
+                generators=c.inequalities, lineality=Subspace(c.d, c.equalities))
 
 
 def face_lattice(c: Cone) -> FaceLattice:
@@ -202,8 +196,13 @@ def face_lattice(c: Cone) -> FaceLattice:
     span of those generators plus the lineality space; no face cone is
     built.  Faces sort by (dim, selected generators), which are the face
     cone's canonical generators, so the interval below a face, in this
-    order, is the face's own lattice.
+    order, is the face's own lattice.  A cone builds its lattice once and
+    holds it, with the face cones read from it.
     """
+    return c._face_lattice
+
+
+def _build_face_lattice(c: Cone) -> FaceLattice:
     gens = c.generators
     n = len(gens)
     facet_masks = []
@@ -230,7 +229,7 @@ def face_lattice(c: Cone) -> FaceLattice:
         active = frozenset(
             i for i, fm in enumerate(facet_masks) if msk & fm == msk
         )
-        faces.append(Face(c, span, span.dim, msk, active))
+        faces.append(Face(c, span, msk, active))
     faces.sort(key=lambda f: (f.dim, _masked(gens, f.gen_mask)))
     fvec = [0] * (c.d + 1)
     for f in faces:
@@ -252,7 +251,7 @@ def normal_face(c: Cone, f: Face) -> Face:
         raise ValueError("face does not belong to this cone")
     normals = tuple(c.inequalities[i] for i in sorted(f.active))
     span = _span(normals + c.equalities, c.d)
-    return Face(polar(c), span, span.dim, sum(1 << i for i in f.active),
+    return Face(polar(c), span, sum(1 << i for i in f.active),
                 frozenset(i for i in range(len(c.generators)) if f.gen_mask >> i & 1))
 
 

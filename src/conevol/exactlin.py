@@ -119,12 +119,23 @@ def _int_vec(v: Sequence) -> list[int]:
 
 
 def _int_rows(rows: Iterable[Sequence], d: int, what: str = "row") -> list[list[int]]:
-    """Rational rows parsed by `_int_vec`; raises unless each has length d."""
-    out = [_int_vec(r) for r in rows]
-    for r in out:
-        if len(r) != d:
+    """Rational rows parsed by `_int_vec`, each of length d.  A string, a
+    number or a dict is not a list, so "12" is rejected, not read digit by
+    digit."""
+    if not _is_list(rows):
+        raise ValueError(f"{what} rows must be a list of rows, got {rows!r}")
+    out = []
+    for r in rows:
+        if not _is_list(r):
+            raise ValueError(f"each {what} must be a list of numbers, got {r!r}")
+        out.append(_int_vec(r))
+        if len(out[-1]) != d:
             raise ValueError(f"{what} length does not match ambient dimension")
     return out
+
+
+def _is_list(x) -> bool:
+    return isinstance(x, Iterable) and not isinstance(x, (str, bytes, dict))
 
 
 def _prim(v: Sequence[int]) -> Vec:

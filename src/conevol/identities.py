@@ -385,12 +385,14 @@ def _normal_of(f: Face, k: Face) -> Cone:
 
 
 def rationalize_matrix(q: np.ndarray, bits: int = 40):
+    """q scaled by 2^bits and rounded to integers, entry by entry."""
     scale = 1 << bits
-    return tuple(tuple(Fraction(round(float(x) * scale), scale) for x in row) for row in q)
+    return tuple(tuple(round(float(x) * scale) for x in row) for row in q)
 
 
 def _rotate(qm, c: Cone) -> Cone:
-    """QC for a rational matrix Q, built exactly from C's rows."""
+    """QC for an integer matrix Q, such as `rationalize_matrix`, built
+    exactly from C's rows; a positive multiple of Q gives the same cone."""
     def image(rows):
         return [[dot(q, v) for q in qm] for v in rows]
     return cone_from_generators(image(c.generators), image(c.lineality.basis), c.d)
@@ -430,7 +432,7 @@ def _check_index(k: int, d: int) -> None:
 
 def _rotations(d_cone: Cone, trials: int, seed: int, rng_tag: int):
     """Yield QD for trials Haar rotations Q, drawn from the stream
-    (seed, rng_tag) and rationalized so that QD is built exactly."""
+    (seed, rng_tag) and scaled to integers so that QD is built exactly."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, rng_tag)))
     for _ in range(trials):
         yield _rotate(rationalize_matrix(haar_rotation(d_cone.d, rng)), d_cone)
@@ -457,8 +459,8 @@ def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
 def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
                      cfg: SampleConfig) -> VerificationReport:
     """E[v_k(C ∩ QD)] = v_{k+d}(C x D) for k > 0 (total mass sum at k = 0),
-    with Q Haar and the per-rotation cone built exactly from a rationalized
-    rotation; two-level Monte Carlo."""
+    with Q Haar and the per-rotation cone built exactly from the rotation
+    scaled to integers; two-level Monte Carlo."""
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
     _check_index(k, c.d)

@@ -1,14 +1,16 @@
 """Gaussian geometry of polyhedral cones: Monte Carlo and closed forms.
 
-This is the only floating-point layer.  A cone's face lattice is compiled
-once into a projection kernel: per-face span projectors and one stacked
-constraint matrix holding, for every face, its facet normals projected onto
-the face's span and its generators projected off it, padded to a common
-column count with slots masked to -inf.  Each standard Gaussian sample is
-then located in the facial decomposition of space — the unique face F with
-the sample's span-projection in relint(F) and the residual in the normal
-face — by one matmul per bounded chunk of rows, which identifies the metric
-projection onto the cone and the face dimension to tally.  Estimators are
+This is the only floating-point layer.  A cone's face lattice, built once
+by the cone, is compiled into a projection kernel: per-face span projectors
+and one stacked constraint matrix holding, for every face, its facet
+normals projected onto the face's span and its generators projected off
+it, padded to a common column count with slots masked to -inf.  Each
+standard Gaussian sample is then located in the facial decomposition of
+space — the unique face F with the sample's span-projection in relint(F)
+and the residual in the normal face — by one matmul per bounded chunk of
+rows, which identifies the metric projection onto the cone and the face
+dimension to tally.  Kernels are cached weakly per cone: equal cones share
+one kernel, and it is dropped with the cone that keys it.  Estimators are
 deterministic for a fixed (seed, workers): sample counts are partitioned
 across worker substreams keyed by (seed, stream, worker) and tallies merge
 by addition.
@@ -18,12 +20,13 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cone import Cone, Face, FaceLattice, canonical_decomposition, face_lattice, polar
+from .cone import Cone, Face, canonical_decomposition, face_lattice, polar
 from .cone import cone_from_generators, cone_from_inequalities, normal_face
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
@@ -117,7 +120,8 @@ def _rng(seed: int, stream: int, worker: int) -> np.random.Generator:
 
 
 class ProjectionKernel:
-    """Float compilation of a face lattice for batched Moreau projection.
+    """Float compilation of `face_lattice(c)` for batched Moreau projection,
+    holding float arrays only: no reference to the cone or its lattice.
 
     Face j is given by its span projector P_j = Q_j Q_j^T, the unit outer
     normals A_j of the facets not active on it and the unit generators R_j
@@ -146,11 +150,8 @@ class ProjectionKernel:
     outputs, bit for bit, as a per-draw argmin and per-draw tolerances.
     """
 
-    def __init__(self, c: Cone, lattice: FaceLattice):
-        if lattice.cone != c:
-            raise ValueError("lattice does not belong to this cone")
-        self.cone = c
-        self.lattice = lattice
+    def __init__(self, c: Cone):
+        lattice = face_lattice(c)
         self.d = d = c.d
         gens_unit = _unit_rows(c.generators, d)
         facets_unit = _unit_rows(c.inequalities, d)
@@ -305,17 +306,14 @@ def _unit_rows(rows, d: int) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1)[:, None] if len(a) else a
 
 
-def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.ndarray, Face]:
+def moreau_project(c: Cone, x) -> tuple[np.ndarray, np.ndarray, Face]:
     """Moreau decomposition x = p + q with p in C, q in C°, p ⟂ q.
 
-    Also identifies the unique face with p in its relative interior;
-    raises AmbiguousProjection when the float margins cannot separate one.
+    Also identifies the unique face of `face_lattice(c)` with p in its
+    relative interior; raises AmbiguousProjection when the float margins
+    cannot separate one.
     """
-    # checked here, not only when a kernel is built: a cached kernel for c
-    # would otherwise answer for a foreign lattice
-    if lattice.cone != c:
-        raise ValueError("lattice does not belong to this cone")
-    kern = _kernel_for(c, lattice)
+    kern = _kernel_for(c)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.d:
         raise ValueError("point dimension does not match the cone")
@@ -326,24 +324,17 @@ def moreau_project(c: Cone, lattice: FaceLattice, x) -> tuple[np.ndarray, np.nda
         raise AmbiguousProjection(float(m1[0]), float(m2[0]))
     q = kern.bases[idx[0]]
     p = (x @ q) @ q.T if q.shape[1] else np.zeros_like(x)
-    return p[0], (x - p)[0], lattice.faces[idx[0]]
+    return p[0], (x - p)[0], face_lattice(c).faces[idx[0]]
 
 
-_kernel_cache: dict[Cone, ProjectionKernel] = {}
+# an entry lives as long as the cone that keys it: its kernel refers to neither
+_kernel_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _kernel_for(c: Cone, lattice: FaceLattice | None = None) -> ProjectionKernel:
-    # the face lattice of a cone is deterministic, so a kernel cached for
-    # an equal cone is valid whatever lattice object the caller holds
+def _kernel_for(c: Cone) -> ProjectionKernel:
     kern = _kernel_cache.get(c)
-    if kern is not None:
-        return kern
-    if lattice is None:
-        lattice = face_lattice(c)
-    kern = ProjectionKernel(c, lattice)
-    if len(_kernel_cache) > 64:
-        _kernel_cache.clear()
-    _kernel_cache[c] = kern
+    if kern is None:
+        kern = _kernel_cache[c] = ProjectionKernel(c)
     return kern
 
 

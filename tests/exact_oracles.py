@@ -185,8 +185,7 @@ def _dd(ineqs, eq_rows, d):
 def _from_vrep(rays, lin, d):
     gens = _canon_rays(mat(rays), lin)
     prays, plin = _dd(gens, lin, d)
-    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(gens), subspace(lin, d),
-                d - len(plin), len(lin))
+    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(gens), subspace(lin, d))
 
 
 def cone_from_inequalities(normals, d, equalities=()):
@@ -197,8 +196,7 @@ def cone_from_inequalities(normals, d, equalities=()):
 def cone_from_generators(rays, lineality, d):
     prays, plin = _dd(mat(rays), mat(lineality), d)
     rrays, rlin = _dd(prays, plin, d)
-    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(rrays), subspace(rlin, d),
-                d - len(plin), len(rlin))
+    return Cone(d, _ints(prays), subspace(plin, d).basis, _ints(rrays), subspace(rlin, d))
 
 
 # ---------------------------------------------------------------------------

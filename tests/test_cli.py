@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +97,17 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         bad.write_text(json.dumps(obj))
         code, out, err = run_main(capsys, verb, str(bad))
         assert code == 2 and "error" in err and out == "", (verb, obj)
+    # a row or a field that is not a list is rejected by the field's name; a
+    # string row is not read digit by digit
+    for verb, obj, name in (
+        ("cone-info", {"d": 2, "inequalities": [5]}, "normal"),
+        ("cone-info", {"d": 2, "inequalities": [[1, 0]], "equalities": 7}, "equality"),
+        ("cone-info", {"d": 2, "inequalities": ["12"]}, "normal"),
+        ("arr-chi", {"d": 2, "normals": [5]}, "normal"),
+    ):
+        bad.write_text(json.dumps(obj))
+        code, out, err = run_main(capsys, verb, str(bad))
+        assert code == 2 and name in err and out == "", (verb, obj, err)
     # an ambient dimension that is not an int >= 1 is rejected by name
     for verb, obj in (
         ("cone-info", {"d": 2.7, "inequalities": [[-1, 0]]}),
@@ -175,25 +185,21 @@ def test_byte_identical_reports(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_fixture_files_round_trip():
+def test_fixture_files_round_trip(tmp_path, capsys):
+    polar_file = tmp_path / "polar.json"
     for path in sorted(FIXTURES.glob("*.json")):
-        obj = json.load(open(path))
+        obj = json.loads(path.read_text())
         if "normals" in obj:
-            code, out, _ = run_cli("arr-chi", str(path))
-            assert code == 0
+            code, _, _ = run_main(capsys, "arr-chi", str(path))
+            assert code == 0, path
         else:
-            code, out, _ = run_cli("cone-polar", str(path))
-            assert code == 0
+            code, out, _ = run_main(capsys, "cone-polar", str(path))
+            assert code == 0, path
             # polar twice reproduces the original canonical file
-            import tempfile
-
-            with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as tf:
-                tf.write(out)
-                name = tf.name
-            code, out2, _ = run_cli("cone-polar", name)
-            os.unlink(name)
-            assert code == 0
-            assert json.loads(out2) == obj
+            polar_file.write_text(out)
+            code, out2, _ = run_main(capsys, "cone-polar", str(polar_file))
+            assert code == 0, path
+            assert json.loads(out2) == obj, path
 
 
 def test_cone_info_table():

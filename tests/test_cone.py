@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ import exact_oracles as oracle
 from conevol import cone as cone_module
 from conevol.catalog import build_cones
 from conevol.cone import (
+    Cone,
+    Face,
     InvariantViolation,
     _from_vrep,
     canonical_decomposition,
@@ -457,6 +460,28 @@ def test_face_lattice_builds_no_face_cone(monkeypatch):
         fl = face_lattice(c)
         assert calls == [], name
         assert fl.faces[-1].cone == c and len(calls) == 1, name
+
+
+def test_face_lattice_is_built_once_per_cone():
+    c = cone_from_generators([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]], [], 3)
+    fl = face_lattice(c)
+    cones = [f.cone for f in fl.faces]
+    assert face_lattice(c) is fl
+    # the faces, and the cones they built, are reused by later calls
+    assert all(f.cone is k for f, k in zip(face_lattice(c).faces, cones))
+    # an equal cone built separately builds its own, equal lattice
+    twin = cone_from_inequalities(SQUARE.inequalities, 3)
+    assert twin == c and face_lattice(twin) is not fl
+    assert face_lattice(twin).faces == fl.faces
+
+
+def test_dimensions_are_derived_not_stored():
+    assert [f.name for f in fields(Cone)] == [
+        "d", "inequalities", "equalities", "generators", "lineality"]
+    assert "dim" not in {f.name for f in fields(Face)}
+    for name, c in build_cones():
+        assert c.dim == c.span.dim and c.lineality_dim == c.lineality.dim, name
+        assert all(f.dim == f.cone.dim for f in face_lattice(c).faces), name
 
 
 def test_json_round_trip():

@@ -350,7 +350,7 @@ def test_rationalize_matrix_accuracy():
     qm = rationalize_matrix(q)
     for i in range(3):
         for j in range(3):
-            assert abs(float(qm[i][j]) - q[i, j]) <= 2 ** -40
+            assert type(qm[i][j]) is int and abs(qm[i][j] / 2 ** 40 - q[i, j]) <= 2 ** -40
 
 
 def test_report_json_shape():

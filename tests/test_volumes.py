@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import threading
@@ -49,22 +50,21 @@ CATALOG = dict(build_cones())
 
 
 def test_moreau_orthant_mixed_signs():
-    fl = face_lattice(ORTHANT2)
-    p, q, face = moreau_project(ORTHANT2, fl, [1.0, -1.0])
+    p, q, face = moreau_project(ORTHANT2, [1.0, -1.0])
     assert np.allclose(p, [1, 0]) and np.allclose(q, [0, -1])
     assert face.dim == 1 and face.cone.generators == mat([[1, 0]])
+    # the face is the cone's own lattice's object
+    assert any(face is f for f in face_lattice(ORTHANT2).faces)
 
 
 def test_moreau_interior_point():
-    fl = face_lattice(ORTHANT2)
-    p, q, face = moreau_project(ORTHANT2, fl, [2.0, 3.0])
+    p, q, face = moreau_project(ORTHANT2, [2.0, 3.0])
     assert np.allclose(p, [2, 3]) and np.allclose(q, [0, 0])
     assert face.cone == ORTHANT2
 
 
 def test_moreau_halfplane():
-    fl = face_lattice(HALFPLANE)
-    p, q, face = moreau_project(HALFPLANE, fl, [3.0, -2.0])
+    p, q, face = moreau_project(HALFPLANE, [3.0, -2.0])
     assert np.allclose(p, [3, 0]) and np.allclose(q, [0, -2])
     assert face.cone.is_subspace and face.dim == 1
 
@@ -72,9 +72,8 @@ def test_moreau_halfplane():
 def test_moreau_identity_properties():
     rng = np.random.default_rng(9)
     for c in (ORTHANT3, WEDGE45, HALFPLANE, SQUARE):
-        fl = face_lattice(c)
         for x in rng.standard_normal((60, c.d)):
-            p, q, _ = moreau_project(c, fl, x)
+            p, q, _ = moreau_project(c, x)
             assert np.linalg.norm(p + q - x) < 1e-9
             assert abs(float(np.dot(p, q))) < 1e-9
             # q is in the polar cone
@@ -313,7 +312,7 @@ def test_moreau_bulk_invariant_100k():
 
     rng = np.random.default_rng(40)
     for c in (ORTHANT3, SQUARE, HALFPLANE):
-        kern = _kernel_for(c, face_lattice(c))
+        kern = _kernel_for(c)
         g = rng.standard_normal((100_000, c.d))
         idx, pn2, ok, _ = kern.classify(g)
         assert ok.mean() > 0.999
@@ -325,6 +324,31 @@ def test_moreau_bulk_invariant_100k():
             # p + q = x identically; orthogonality within 1e-9 relative scale
             inner = np.abs(np.einsum("ij,ij->i", p, q))
             assert np.all(inner <= 1e-9 * np.maximum(np.einsum("ij,ij->i", rows, rows), 1.0))
+
+
+def test_equal_cones_share_one_kernel():
+    # built separately: two cone objects, each with its own lattice
+    a = cone_from_generators([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]], [], 3)
+    b = cone_from_inequalities(a.inequalities, 3)
+    assert a == b and a is not b and face_lattice(a) is not face_lattice(b)
+    assert volumes._kernel_for(a) is volumes._kernel_for(b)
+    # the shared kernel's face index reads the caller's own lattice
+    _, _, face = moreau_project(b, [1.0, 0.5, 0.25])
+    assert face.parent is b and any(face is f for f in face_lattice(b).faces)
+
+
+def test_kernel_cache_entry_lives_as_long_as_its_cone():
+    gc.collect()
+    before = len(volumes._kernel_cache)
+    c = cone_from_generators([[1, 0, 0], [1, 2, 0], [1, 1, 3]], [], 3)
+    kern = volumes._kernel_for(c)
+    assert len(volumes._kernel_cache) == before + 1
+    # the kernel refers to neither the cone nor its lattice, so holding it
+    # does not keep the entry alive
+    del c
+    gc.collect()
+    assert len(volumes._kernel_cache) == before
+    assert kern.classify(np.ones((1, 3)))[2].all()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +400,7 @@ def _assert_matches_reference(c, g, same_index_everywhere):
     exactly.  Where no face is separated the best index may break a tie
     differently, so it is compared only where ok unless asked."""
     lattice = face_lattice(c)
-    idx, pn2, ok, (m1, m2) = ProjectionKernel(c, lattice).classify(g)
+    idx, pn2, ok, (m1, m2) = ProjectionKernel(c).classify(g)
     r_idx, r_pn2, r_ok, (r_m1, r_m2) = reference_classify(c, lattice, g)
     scale = np.maximum(np.linalg.norm(g, axis=1), 1.0)
     np.testing.assert_array_equal(ok, r_ok)
@@ -398,7 +422,7 @@ def test_kernel_bases_are_qr_of_float_rref_rows():
     fractional = 0
     for c in [r.cone for r in chambers(generic)] + list(CATALOG.values()):
         lattice = face_lattice(c)
-        for f, q in zip(lattice.faces, ProjectionKernel(c, lattice).bases):
+        for f, q in zip(lattice.faces, ProjectionKernel(c).bases):
             if f.dim == 0:
                 continue
             fractional += any(x.denominator != 1 for row in f.span.rref for x in row)
@@ -472,14 +496,14 @@ def _batches(kern):
 @pytest.mark.parametrize("name", sorted(CATALOG))
 def test_classify_matches_allocating_oracle_bitwise(name):
     c = CATALOG[name]
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     for b in _batches(kern):
         _assert_same_bits(kern, np.random.default_rng(b).standard_normal((b, c.d)))
 
 
 def test_classify_results_do_not_alias_the_workspace():
     a, b = CATALOG["orthant-4d"], CATALOG["cross-cone-4d"]
-    ka, kb = ProjectionKernel(a, face_lattice(a)), ProjectionKernel(b, face_lattice(b))
+    ka, kb = ProjectionKernel(a), ProjectionKernel(b)
     rng = np.random.default_rng(5)
     ga = rng.standard_normal((20000, 4))
     first = ka.classify(ga)
@@ -492,7 +516,7 @@ def test_classify_results_do_not_alias_the_workspace():
 def test_classify_threads_match_oracle():
     # each thread reuses its own workspace; a shared one would mix margins
     names = ("orthant-4d", "cross-cone-4d", "square-cone-3d", "orthant-3d")
-    kerns = [ProjectionKernel(CATALOG[n], face_lattice(CATALOG[n])) for n in names]
+    kerns = [ProjectionKernel(CATALOG[n]) for n in names]
     draws = [np.random.default_rng(i).standard_normal((20000, k.d))
              for i, k in enumerate(kerns)]
     got = [[] for _ in kerns]
@@ -531,7 +555,7 @@ def _hard_rows(c, rng, b):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(_small_cones(), st.integers(min_value=0, max_value=2**32 - 1))
 def test_classify_bitwise_on_random_cones(c, seed):
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     rng = np.random.default_rng(seed)
     for b in (kern._chunk - 1, kern._chunk + 1, 300):
         _assert_same_bits(kern, _hard_rows(c, rng, b))
@@ -551,7 +575,7 @@ _WIDE_CONES = {
 @pytest.mark.parametrize("name", sorted(_WIDE_CONES))
 def test_classify_bitwise_wide_and_many_faced(name):
     c = _WIDE_CONES[name]
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     rng = np.random.default_rng(9)
     for b in sorted({1, kern._chunk - 1, kern._chunk + 1, 5000} - {0}):
         _assert_same_bits(kern, _hard_rows(c, rng, b))
@@ -560,7 +584,7 @@ def test_classify_bitwise_wide_and_many_faced(name):
 def test_classify_with_non_finite_rows_matches_oracle():
     # NaN margins take the argmin path, so even they keep argmin's index;
     # which NaN a min returns is not fixed, so NaNs compare as equal
-    kern = ProjectionKernel(SQUARE, face_lattice(SQUARE))
+    kern = ProjectionKernel(SQUARE)
     g = np.random.default_rng(2).standard_normal((64, 3))
     g[5, 1] = np.nan
     g[9, 0] = np.inf
@@ -585,7 +609,7 @@ def test_exact_tolerance_decides_rows_under_the_batch_bound(c):
     g[0] = 1e6
     g[1:21, -1] = 1e-6
     g[21:, -1] = 1e-11
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     _assert_same_bits(kern, g)
     _, _, ok, (m1, _) = kern.classify(g)
     bound = REL_TOL * math.sqrt(d) * 1e6
@@ -600,7 +624,7 @@ def test_batch_bound_covers_rows_with_many_large_coordinates():
     c = _WIDE_CONES["halfspace-x-line-9d"]
     eps = np.linspace(1e-8, 5e-8, 41)
     g = np.hstack([np.full((len(eps), 8), 10.0), eps[:, None]])
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     _assert_same_bits(kern, g)
     _, _, ok, (m1, _) = kern.classify(g)
     own = REL_TOL * np.linalg.norm(g, axis=1)
@@ -613,7 +637,7 @@ def test_batch_bound_covers_rows_with_many_large_coordinates():
 
 def test_boundary_draws_are_ambiguous():
     c = CATALOG["orthant-3d"]
-    kern = ProjectionKernel(c, face_lattice(c))
+    kern = ProjectionKernel(c)
     _, _, ok, _ = kern.classify(np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
     assert ok.tolist() == [False, False, True]
 
@@ -622,23 +646,16 @@ def test_boundary_draws_are_ambiguous():
 def test_moreau_project_rejects_non_finite_points(bad):
     c = CATALOG["orthant-3d"]
     with pytest.raises(ValueError, match="finite"):
-        moreau_project(c, face_lattice(c), [1.0, bad, 2.0])
-
-
-def test_moreau_project_rejects_foreign_lattice_with_warm_cache():
-    # a kernel cached for orthant-3d must not answer for another cone's lattice
-    c, other = CATALOG["orthant-3d"], CATALOG["square-cone-3d"]
-    x = [1.0, 2.0, 3.0]
-    p, _, face = moreau_project(c, face_lattice(c), x)
-    assert face.dim == 3 and np.allclose(p, x)
-    with pytest.raises(ValueError, match="does not belong"):
-        moreau_project(c, face_lattice(other), x)
+        moreau_project(c, [1.0, bad, 2.0])
 
 
 def test_moreau_project_raises_on_boundary():
     c = CATALOG["orthant-3d"]
+    # an interior point first, so the boundary point meets a warm kernel
+    p, _, face = moreau_project(c, [1.0, 2.0, 3.0])
+    assert face.dim == 3 and np.allclose(p, [1.0, 2.0, 3.0])
     with pytest.raises(AmbiguousProjection) as exc:
-        moreau_project(c, face_lattice(c), [1.0, 0.0, 1.0])
+        moreau_project(c, [1.0, 0.0, 1.0])
     assert exc.value.best <= REL_TOL and exc.value.second >= -REL_TOL
 
 
