@@ -10,7 +10,10 @@ sorted by their RREF (`Subspace.rref`), not by the echelon, which orders
 some flats with fractional RREF entries differently; a flat's coordinates,
 for restrictions and regions, are its RREF rows scaled by one common
 integer.  The Möbius function follows by the standard recursion;
-characteristic polynomials carry exact integer coefficients.  Chambers are
+characteristic polynomials carry exact integer coefficients.  An
+arrangement builds its lattice once and holds it, with no reference back;
+the level polynomials chi_{A,0..d} come from one pass over the Möbius
+table.  Chambers are
 enumerated by incremental insertion on V-representations with the
 double-description step that converts cones between representations: its
 lineality half `exactlin._lin_cut` runs once per hyperplane, its ray half
@@ -29,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cone import Cone, InvariantViolation, _json_dim, matrix_to_json
 from .exactlin import (
@@ -151,6 +155,10 @@ class Arrangement:
     d: int
     normals: Mat  # primitive, positive leading entry, sorted, deduplicated
 
+    @cached_property
+    def _lattice(self) -> IntersectionLattice:
+        return IntersectionLattice(self)
+
 
 @dataclass(frozen=True)
 class Flat:
@@ -191,11 +199,10 @@ class IntersectionLattice:
     """Flats of an arrangement ordered by reverse inclusion, with Möbius table.
 
     flats[0] is R^d (the least element); flats are sorted by decreasing
-    dimension then canonical basis.
+    dimension then canonical basis.  No reference to the arrangement is kept.
     """
 
     def __init__(self, arr: Arrangement):
-        self.arrangement = arr
         d = arr.d
         normals = arr.normals
         # closure under single-hyperplane intersection, keyed by the echelon
@@ -257,7 +264,7 @@ class IntersectionLattice:
 
     @property
     def ell(self) -> tuple[int, ...]:
-        counts = [0] * (self.arrangement.d + 1)
+        counts = [0] * (self.flats[0].dim + 1)
         for f in self.flats:
             counts[f.dim] += 1
         return tuple(counts)
@@ -265,42 +272,39 @@ class IntersectionLattice:
     def mu(self, x: int, y: int) -> int:
         return self.mobius.get((x, y), 0)
 
+    @cached_property
+    def levels(self) -> tuple[Polynomial, ...]:
+        """chi_{A,0..d} in one pass over the Möbius table, whose pairs are
+        the flats y inside x: mu(x, y) t^{dim y} adds to chi_{A,dim x}."""
+        d = self.flats[0].dim
+        coeffs = [[0] * (d + 1) for _ in range(d + 1)]
+        for (x, y), m in self.mobius.items():
+            coeffs[self.flats[x].dim][self.flats[y].dim] += m
+        return tuple(Polynomial.of(c) for c in coeffs)
+
 
 def intersection_lattice(a: Arrangement) -> IntersectionLattice:
-    return IntersectionLattice(a)
+    """The arrangement's lattice, built on the first call and held by it."""
+    return a._lattice
 
 
-def char_poly(a: Arrangement, lattice: IntersectionLattice | None = None) -> Polynomial:
+def char_poly(a: Arrangement) -> Polynomial:
     """chi(t) = sum over flats of mu(R^d, L) t^{dim L}: the level-d
     polynomial, since R^d is the only d-flat."""
-    return level_char_poly(a, a.d, lattice)
+    return intersection_lattice(a).levels[a.d]
 
 
-def level_char_poly(a: Arrangement, j: int,
-                    lattice: IntersectionLattice | None = None) -> Polynomial:
+def level_char_poly(a: Arrangement, j: int) -> Polynomial:
     """j-th level characteristic polynomial: Möbius sums from the j-flats."""
     if not 0 <= j <= a.d:
         raise ValueError("level out of range")
-    lat = lattice or intersection_lattice(a)
-    coeffs = [0] * (a.d + 1)
-    for x, fx in enumerate(lat.flats):
-        if fx.dim != j:
-            continue
-        for y, fy in enumerate(lat.flats):
-            if lat.leq(x, y):
-                coeffs[fy.dim] += lat.mu(x, y)
-    return Polynomial.of(coeffs)
+    return intersection_lattice(a).levels[j]
 
 
-def bivariate_poly(a: Arrangement, lattice: IntersectionLattice | None = None) -> BiPolynomial:
+def bivariate_poly(a: Arrangement) -> BiPolynomial:
     """X(s, t) = sum_j s^j chi_{A,j}(t)."""
-    lat = lattice or intersection_lattice(a)
-    out: dict = {}
-    for j in range(a.d + 1):
-        for k, c in enumerate(level_char_poly(a, j, lat).coeffs):
-            if c:
-                out[(j, k)] = out.get((j, k), 0) + c
-    return BiPolynomial.from_dict(out)
+    levels = enumerate(intersection_lattice(a).levels)
+    return BiPolynomial.from_dict({(j, k): c for j, p in levels for k, c in enumerate(p.coeffs)})
 
 
 def restriction(a: Arrangement, flat) -> Arrangement:
@@ -486,26 +490,24 @@ def chambers(a: Arrangement) -> list[Region]:
     return _flat_regions(a.normals, _ambient_flat(a.d))
 
 
-def regions_j(a: Arrangement, j: int,
-              lattice: IntersectionLattice | None = None) -> list[Region]:
+def regions_j(a: Arrangement, j: int, lattice=None) -> list[Region]:
     """All j-dimensional faces of chambers: chambers of restrictions to
     j-flats, with their rays mapped back to ambient coordinates.
 
     The flat's RREF basis is scaled to integers by one common positive
     factor, so every lifted ray is a positive multiple of its rational
-    lift."""
+    lift.  `lattice` is unused: the only lattice a caller can pass is a's own."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
-    lat = lattice or intersection_lattice(a)
-    return [r for flat in lat.flats if flat.dim == j for r in _flat_regions(a.normals, flat)]
+    return [r for flat in intersection_lattice(a).flats if flat.dim == j
+            for r in _flat_regions(a.normals, flat)]
 
 
-def zaslavsky_count(a: Arrangement, j: int,
-                    lattice: IntersectionLattice | None = None) -> int:
-    """r_j = (-1)^j chi_{A,j}(-1): signed evaluation of the level polynomial."""
+def zaslavsky_count(a: Arrangement, j: int, lattice=None) -> int:
+    """r_j = (-1)^j chi_{A,j}(-1); `lattice` is unused, as in `regions_j`."""
     if not 0 <= j <= a.d:
         raise ValueError("level out of range")
-    return (-1) ** j * level_char_poly(a, j, lattice)(-1)
+    return (-1) ** j * intersection_lattice(a).levels[j](-1)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +710,13 @@ def parse_family_spec(spec: str) -> Arrangement:
     if name == "generic":
         kv = {}
         for part in params.split(","):
-            k, _, v = part.partition("=")
-            kv[k.strip()] = int(v)
+            k, eq, v = part.partition("=")
+            k = k.strip()
+            if not eq or k not in ("n", "d", "seed"):
+                raise ValueError(f"generic spec key {k!r} is not one of n=, d=, seed=")
+            if k in kv:
+                raise ValueError(f"generic spec repeats key {k!r}")
+            kv[k] = int(v)
         if "n" not in kv or "d" not in kv:
             raise ValueError("generic spec requires n= and d=")
         return named_family("generic", kv["d"], n=kv["n"], seed=kv.get("seed", 0))

@@ -207,15 +207,14 @@ def _cmd_cone_polar(args) -> int:
 
 def _cmd_arr_chi(args) -> int:
     a = _load_arrangement(args)
-    lat = intersection_lattice(a)
-    chi = char_poly(a, lat)
-    levels = [list(level_char_poly(a, j, lat).coeffs) for j in range(a.d + 1)]
+    chi = char_poly(a)
+    levels = [list(level_char_poly(a, j).coeffs) for j in range(a.d + 1)]
     payload = {
         "d": a.d,
         "n_hyperplanes": len(a.normals),
         "chi": list(chi.coeffs),
         "levels": levels,
-        "ell": list(lat.ell),
+        "ell": list(intersection_lattice(a).ell),
     }
     rows = [f"chi      {list(chi.coeffs)} (lowest degree first)"]
     rows += [f"chi_{j}    {lv}" for j, lv in enumerate(levels)]
@@ -225,13 +224,12 @@ def _cmd_arr_chi(args) -> int:
 
 def _cmd_arr_regions(args) -> int:
     a = _load_arrangement(args)
-    lat = intersection_lattice(a)
     js = range(a.d + 1) if args.j is None else [args.j]
     counts = {}
     zas = {}
     for j in js:
-        counts[j] = len(regions_j(a, j, lat))
-        zas[j] = zaslavsky_count(a, j, lat)
+        counts[j] = len(regions_j(a, j))
+        zas[j] = zaslavsky_count(a, j)
     payload = {
         "d": a.d,
         "counts": {str(j): counts[j] for j in js},

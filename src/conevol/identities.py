@@ -36,7 +36,6 @@ import numpy as np
 
 from .arrangement import (
     Arrangement,
-    IntersectionLattice,
     chambers,
     cover_efron_expected_iv,
     expected_statdim_family,
@@ -616,26 +615,22 @@ def _region_iv_sums(regs, d: int, cfg: SampleConfig,
     return sums, variances
 
 
-def verify_zaslavsky(a: Arrangement,
-                     lattice: IntersectionLattice | None = None) -> VerificationReport:
+def verify_zaslavsky(a: Arrangement) -> VerificationReport:
     """r_j(A) = (-1)^j chi_{A,j}(-1) for every j, by exact enumeration."""
-    lat = lattice or intersection_lattice(a)
     counted = []
     predicted = []
     for j in range(a.d + 1):
-        counted.append(len(regions_j(a, j, lat)))
-        predicted.append(zaslavsky_count(a, j, lat))
+        counted.append(len(regions_j(a, j)))
+        predicted.append(zaslavsky_count(a, j))
     return _report_exact("zaslavsky", int(counted != predicted), str(tuple(counted)),
                          str(tuple(predicted)), notes=f"j = 0..{a.d}")
 
 
-def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig,
-                          lattice: IntersectionLattice | None = None) -> VerificationReport:
+def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig) -> VerificationReport:
     """sum over j-regions of vhat_k = (-1)^{j-k} a_{jk}, the coefficients of
     the level characteristic polynomial; includes sum v_j = ell_j at k = j."""
-    lat = lattice or intersection_lattice(a)
-    chi = level_char_poly(a, j, lat)
-    regs = regions_j(a, j, lat)
+    chi = level_char_poly(a, j)
+    regs = regions_j(a, j)
     sums, variances = _region_iv_sums(regs, a.d, cfg, 23, j)
     expected = [(-1) ** (j - k) * chi.coefficient(k) for k in range(j + 1)]
     worst = max(_z(sums[k] - expected[k], math.sqrt(variances[k]), cfg.n_samples)
@@ -650,22 +645,22 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
     characteristic polynomial: coefficients (a_0 + a_1, a_2, ..., a_j)."""
     if j < 2:
         raise ValueError("the slice lemma requires j >= 2")
-    lat = intersection_lattice(a)
+    flats = intersection_lattice(a).flats
     rng = random.Random(seed)
     while True:
         h = [rng.randint(-19, 19) for _ in range(a.d)]
         if all(x == 0 for x in h):
             continue
-        if all(f.dim == 0 or any(dot(h, b) for b in f.subspace.basis) for f in lat.flats):
+        if all(f.dim == 0 or any(dot(h, b) for b in f.subspace.basis) for f in flats):
             break
     sliced = restriction(a, kernel([h], a.d))
-    chi = level_char_poly(a, j, lat)
+    chi = level_char_poly(a, j)
     expected = [chi.coefficient(0) + chi.coefficient(1)] + [
         chi.coefficient(k) for k in range(2, j + 1)
     ]
     got = level_char_poly(sliced, j - 1)
     got_coeffs = [got.coefficient(k) for k in range(j)]
-    r_pred = zaslavsky_count(a, j, lat) - (-1) ** j * 2 * chi.coefficient(0)
+    r_pred = zaslavsky_count(a, j) - (-1) ** j * 2 * chi.coefficient(0)
     r_got = zaslavsky_count(sliced, j - 1)
     ok = got_coeffs == expected and r_got == r_pred
     return _report_exact(f"generic-slice[j={j}]", int(not ok), got_coeffs, expected,
@@ -767,22 +762,21 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     add(verify_finite_double_count(6, {0, 1, 2}, {0, 3}, cyclic), "cyclic-6")
     for name, a in arrs:
         add(verify_zaslavsky(a), name)
+    # the catalog's arrangement objects, so each builds its lattice once
+    named_arrs = dict(arrs)
     for fam, dmax in (("braid", 4), ("bc", 3), ("d", 3)):
         for d in range(2, dmax + 1):
-            a = named_family(fam, d)
-            lat = intersection_lattice(a)
-            ok = all(
-                family_level_char(fam, d, j) == level_char_poly(a, j, lat)
-                for j in range(d + 1)
-            )
+            a = named_arrs[f"{fam}-{d}d"]
+            ok = all(family_level_char(fam, d, j) == level_char_poly(a, j)
+                     for j in range(d + 1))
             reports.append(_report_exact(f"family-closed-form[{fam},d={d}]", int(not ok),
                                          notes="exact match with lattice computation"))
     for j in (1, 2, 3):
-        add(verify_klivans_swartz(named_family("braid", 3), j, _sub_cfg(cfg, 115, j)),
+        add(verify_klivans_swartz(named_arrs["braid-3d"], j, _sub_cfg(cfg, 115, j)),
             "braid-3d")
-    add(verify_klivans_swartz(named_family("bc", 2), 2, _sub_cfg(cfg, 116)), "bc-2d")
+    add(verify_klivans_swartz(named_arrs["bc-2d"], 2, _sub_cfg(cfg, 116)), "bc-2d")
     for j in (2, 3, 4):
-        add(verify_generic_slice(named_family("braid", 4), j, seed=cfg.seed), "braid-4d")
+        add(verify_generic_slice(named_arrs["braid-4d"], j, seed=cfg.seed), "braid-4d")
     add(verify_hug_schneider(3, 2, _sub_cfg(cfg, 117)), "generic n=3 d=2")
     add(verify_family_statdim("braid", 2, _sub_cfg(cfg, 118)), "")
     add(verify_family_statdim("bc", 1, _sub_cfg(cfg, 119)), "")

@@ -16,7 +16,6 @@ from conevol.arrangement import (
     arrangement,
     family_level_char,
     generic_level_char,
-    intersection_lattice,
     level_char_poly,
     named_family,
     regions_j,
@@ -112,9 +111,8 @@ def test_criterion_04_sommerville():
 
 
 def _zaslavsky_exact(a) -> bool:
-    lat = intersection_lattice(a)
     return all(
-        len(regions_j(a, j, lat)) == zaslavsky_count(a, j, lat)
+        len(regions_j(a, j)) == zaslavsky_count(a, j)
         for j in range(a.d + 1)
     )
 
@@ -163,9 +161,8 @@ def test_criterion_06_family_closed_forms():
     for fam, dmax in (("braid", 5), ("bc", 4), ("d", 4)):
         for d in range(2 if fam == "d" else 1, dmax + 1):
             a = named_family(fam, d)
-            lat = intersection_lattice(a)
             for j in range(d + 1):
-                if family_level_char(fam, d, j) != level_char_poly(a, j, lat):
+                if family_level_char(fam, d, j) != level_char_poly(a, j):
                     bad.append((fam, d, j))
     report(6, not bad, "closed-form level polynomials equal brute force "
            "(braid d<=5, bc d<=4, d d<=4, all j)")
@@ -177,9 +174,8 @@ def test_criterion_07_generic_closed_forms_and_slice():
         a = named_family("generic", d, n=n, seed=seed)
         if generic_level_char(n, d, d) != whitney_char_poly(a):
             bad.append((n, d, "whitney"))
-        lat = intersection_lattice(a)
         for j in range(1, d + 1):
-            if generic_level_char(n, d, j) != level_char_poly(a, j, lat):
+            if generic_level_char(n, d, j) != level_char_poly(a, j):
                 bad.append((n, d, j))
     slices_ok = all(
         verify_generic_slice(named_family("braid", 4), j, seed=7).passed

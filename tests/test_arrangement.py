@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -109,6 +111,34 @@ def test_lattice_braid3():
     assert lat.flats[line].defining_set == frozenset({0, 1, 2})
 
 
+def test_intersection_lattice_is_built_once_per_arrangement():
+    a = named_family("braid", 4)
+    lat = intersection_lattice(a)
+    assert intersection_lattice(a) is lat
+    # an equal arrangement built separately builds its own, equal lattice
+    twin = named_family("braid", 4)
+    assert twin == a and intersection_lattice(twin) is not lat
+    assert intersection_lattice(twin).flats == lat.flats
+    assert intersection_lattice(twin).mobius == lat.mobius
+    # the lattice holds no reference back, so without the cycle collector
+    # the arrangement dies on `del` while its lattice is still held
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        del a
+        assert ref() is None and lat.levels
+    finally:
+        gc.enable()
+    # the bivariate polynomial reads the same level polynomials
+    arrs = dict(build_arrangements())
+    for name in ("braid-4d", "bc-3d", "generic-3d-n5"):
+        b = arrs[name]
+        x = bivariate_poly(b)
+        for j in range(b.d + 1):
+            for k in range(b.d + 1):
+                assert x.coefficient(j, k) == level_char_poly(b, j).coefficient(k), (name, j, k)
+
+
 def test_char_poly_braid3():
     assert char_poly(BRAID3) == Polynomial.of([0, 2, -3, 1])  # t(t-1)(t-2)
 
@@ -134,7 +164,7 @@ def test_level_char_restriction_consistency():
     for name, a in build_arrangements():
         lat = intersection_lattice(a)
         for j in range(a.d + 1):
-            direct = level_char_poly(a, j, lat)
+            direct = level_char_poly(a, j)
             via = Polynomial.zero()
             for f in lat.flats:
                 if f.dim == j:
@@ -146,8 +176,8 @@ def test_level_char_j0_j1_forms():
     for name, a in build_arrangements():
         lat = intersection_lattice(a)
         ell = lat.ell
-        assert level_char_poly(a, 0, lat) == Polynomial.of([ell[0]])
-        assert level_char_poly(a, 1, lat) == Polynomial.of(
+        assert level_char_poly(a, 0) == Polynomial.of([ell[0]])
+        assert level_char_poly(a, 1) == Polynomial.of(
             [-ell[1] * ell[0], ell[1]]
         )
 
@@ -156,7 +186,7 @@ def test_leading_coefficient_is_flat_count():
     for name, a in build_arrangements():
         lat = intersection_lattice(a)
         for j in range(a.d + 1):
-            p = level_char_poly(a, j, lat)
+            p = level_char_poly(a, j)
             if p.coeffs:
                 assert p.degree == j and p.coeffs[-1] == lat.ell[j], (name, j)
             else:
@@ -236,9 +266,8 @@ def test_regions_j_matches_two_step_reference():
     # a 2-dimensional lineality space, lifted with every region
     arrs.append(("rank-2-in-4d", arrangement([[1, 1, 0, 0], [0, 1, -1, 0], [1, 2, -1, 0]], 4)))
     for name, a in arrs:
-        lat = intersection_lattice(a)
         for j in range(a.d + 1):
-            got = [(r.sign_vector, r.cone, r.flat) for r in regions_j(a, j, lat)]
+            got = [(r.sign_vector, r.cone, r.flat) for r in regions_j(a, j)]
             assert got == reference_regions_j(a, j), (name, j)
 
 
@@ -261,11 +290,10 @@ def _small_arrangements(draw):
 @settings(max_examples=40, deadline=None)
 @given(_small_arrangements())
 def test_region_counts_match_zaslavsky_random(a):
-    lat = intersection_lattice(a)
-    assert len(chambers(a)) == zaslavsky_count(a, a.d, lat)
+    assert len(chambers(a)) == zaslavsky_count(a, a.d)
     for j in range(a.d + 1):
-        regs = regions_j(a, j, lat)
-        assert len(regs) == zaslavsky_count(a, j, lat), j
+        regs = regions_j(a, j)
+        assert len(regs) == zaslavsky_count(a, j), j
         assert all(r.cone.dim == j for r in regs), j
 
 
@@ -274,9 +302,8 @@ def test_region_counts_match_zaslavsky_random(a):
 def test_regions_match_reference_random(a):
     # regions built from insertion data against the two-step DD reference,
     # and their sign vectors against the signs of their canonical cones
-    lat = intersection_lattice(a)
     for j in range(a.d + 1):
-        regs = regions_j(a, j, lat)
+        regs = regions_j(a, j)
         ref = reference_regions_j(a, j)
         assert len(regs) == len(ref), j
         for r, (signs, cone, flat) in zip(regs, ref):
@@ -305,7 +332,7 @@ def test_flats_ordered_by_rref_not_integer_echelon():
     assert flats == sorted(flats, key=lambda f: (-f.dim, f.subspace.rref))
     assert flats != sorted(flats, key=lambda f: (-f.dim, f.subspace.basis))
     for j in range(a.d + 1):
-        order = [flats.index(r.flat) for r in regions_j(a, j, lat)]
+        order = [flats.index(r.flat) for r in regions_j(a, j)]
         assert order == sorted(order), j
         assert set(order) == {x for x, f in enumerate(flats) if f.dim == j}, j
 
@@ -335,7 +362,7 @@ def test_region_fields_are_int_rows():
         assert _int_rows(a.normals), name
         lat = intersection_lattice(a)
         assert all(_int_rows(f.subspace.basis) for f in lat.flats), name
-        regs = chambers(a) + [r for j in range(a.d + 1) for r in regions_j(a, j, lat)]
+        regs = chambers(a) + [r for j in range(a.d + 1) for r in regions_j(a, j)]
         for r in regs:
             c = r.cone
             rows = (c.inequalities, c.generators, c.equalities, c.lineality.basis,
@@ -345,9 +372,8 @@ def test_region_fields_are_int_rows():
 
 def test_zaslavsky_all_catalog():
     for name, a in build_arrangements():
-        lat = intersection_lattice(a)
         for j in range(a.d + 1):
-            assert zaslavsky_count(a, j, lat) == len(regions_j(a, j, lat)), (name, j)
+            assert zaslavsky_count(a, j) == len(regions_j(a, j)), (name, j)
 
 
 def test_zaslavsky_examples():
@@ -360,9 +386,8 @@ def test_family_closed_forms_match_lattice():
     for fam, dmax in (("braid", 4), ("bc", 3), ("d", 3)):
         for d in range(2, dmax + 1):
             a = named_family(fam, d)
-            lat = intersection_lattice(a)
             for j in range(d + 1):
-                assert family_level_char(fam, d, j) == level_char_poly(a, j, lat), (fam, d, j)
+                assert family_level_char(fam, d, j) == level_char_poly(a, j), (fam, d, j)
 
 
 def test_family_examples():
@@ -398,9 +423,8 @@ def test_generic_level_char_whitney_oracle():
     for n, d, seed in cases:
         a = named_family("generic", d, n=n, seed=seed)
         assert generic_level_char(n, d, d) == whitney_char_poly(a) == char_poly(a)
-        lat = intersection_lattice(a)
         for j in range(1, d + 1):
-            assert generic_level_char(n, d, j) == level_char_poly(a, j, lat), (n, d, j)
+            assert generic_level_char(n, d, j) == level_char_poly(a, j), (n, d, j)
 
 
 def test_generic_level_char_example():
@@ -434,13 +458,12 @@ def test_product_multiplicativity():
 
 def test_bivariate_poly_structure():
     x = bivariate_poly(BRAID3)
-    lat = intersection_lattice(BRAID3)
     for j in range(4):
-        p = level_char_poly(BRAID3, j, lat)
+        p = level_char_poly(BRAID3, j)
         for k in range(4):
             assert x.coefficient(j, k) == p.coefficient(k)
     assert x(1, 1) == sum((-1) ** 0 * 0 + p(1) for p in
-                          [level_char_poly(BRAID3, j, lat) for j in range(4)])
+                          [level_char_poly(BRAID3, j) for j in range(4)])
 
 
 def test_mobius_inversion_random_functions():

@@ -119,6 +119,12 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         bad.write_text(json.dumps(obj))
         code, out, err = run_main(capsys, verb, str(bad))
         assert code == 2 and "'d'" in err and out == "", (verb, obj, err)
+    # a generic spec with an unknown key, a repeated key or a part with no '='
+    # is rejected by the key, not read as the default seed or the last value
+    for spec, key in (("generic:n=5,d=3,sed=4", "'sed'"), ("generic:n=5,d=3,n=7", "'n'"),
+                      ("generic:n=5,d=3,7", "'7'")):
+        code, out, err = run_main(capsys, "arr-chi", "--family", spec)
+        assert code == 2 and key in err and out == "", (spec, err)
     # steiner-mgf outside its finite-variance domain t < ln 2 / 2
     code, _, err = run_main(capsys, "verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
                             "--t-grid", "12", "--samples", "2000")

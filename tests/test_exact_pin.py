@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from conevol.arrangement import intersection_lattice, parse_family_spec, regions_j
+from conevol.arrangement import parse_family_spec, regions_j
 from conevol.catalog import build_cones
 from conevol.cone import cone_to_json, face_lattice, matrix_to_json
 
@@ -27,9 +27,8 @@ def exact_core_dump() -> bytes:
                       list(face_lattice(c).f_vector)])
     for spec in ("braid:4", "bc:3", "d:4"):
         a = parse_family_spec(spec)
-        lat = intersection_lattice(a)
         for j in range(a.d + 1):
-            for r in regions_j(a, j, lat):
+            for r in regions_j(a, j):
                 lines.append([spec, j, list(r.sign_vector), cone_to_json(r.cone)])
     return "\n".join(json.dumps(x, sort_keys=True) for x in lines).encode()
 

@@ -7,7 +7,7 @@ import pytest
 
 import crofton_oracle
 from conevol import identities
-from conevol.arrangement import arrangement, named_family
+from conevol.arrangement import IntersectionLattice, arrangement, named_family
 from conevol.catalog import build_cones
 from conevol.cone import (
     cone_from_generators,
@@ -353,13 +353,24 @@ def test_rationalize_matrix_accuracy():
             assert type(qm[i][j]) is int and abs(qm[i][j] / 2 ** 40 - q[i, j]) <= 2 ** -40
 
 
-def test_report_json_shape():
+def test_report_json_shape(monkeypatch):
     # one report from each builder path: the key set, the key order and
     # the types of lhs, rhs and residual_or_z that each check emits
     keys = ["identity", "status", "lhs", "rhs", "residual_or_z",
             "n_samples", "n_trials", "seed", "notes"]
     assert list(verify_euler(ORTHANT2).to_json()) == keys
+    builds = []
+    build = IntersectionLattice.__init__
+
+    def counted(self, arr):
+        builds.append(arr)
+        build(self, arr)
+
+    monkeypatch.setattr(IntersectionLattice, "__init__", counted)
     reports = run_suite(SampleConfig(n_samples=500, seed=0), trials=2)
+    # 13 catalog arrangements, each building its lattice once, 3 generic
+    # slices and the 2 arrangements of the family-statdim checks
+    assert len(builds) <= 18
     expected = {
         "euler": (int, int),
         "zaslavsky": (str, str),
