@@ -9,11 +9,18 @@ standard Gaussian sample is then located in the facial decomposition of
 space — the unique face F with the sample's span-projection in relint(F)
 and the residual in the normal face — by one matmul per bounded chunk of
 rows, which identifies the metric projection onto the cone and the face
-dimension to tally.  Kernels are cached weakly per cone: equal cones share
-one kernel, and it is dropped with the cone that keys it.  Estimators are
-deterministic for a fixed (seed, workers): sample counts are partitioned
-across worker substreams keyed by (seed, stream, worker) and tallies merge
-by addition.
+dimension to tally.  A cone that splits into coordinate blocks, C = C_1 x
+... x C_k, has its faces and Moreau projection split the same way, so it
+may instead be compiled as one kernel per block, each classifying the
+draw's own columns, with an exact table from tuples of block faces to the
+cone's faces: its cost is the sum of the blocks' face counts, not their
+product.  A cost rule picks that path when the blocks' margin rows, plus a
+fixed cost per block, are fewer than the whole kernel's; either path
+accepts the same draws, with the same faces and |P g|^2.  Kernels are
+cached weakly per cone: equal cones share one kernel, and it is dropped
+with the cone that keys it.  Estimators are deterministic for a fixed
+(seed, workers): sample counts are partitioned across worker substreams
+keyed by (seed, stream, worker) and tallies merge by addition.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 
 from .cone import Cone, Face, canonical_decomposition, face_lattice, polar
 from .cone import cone_from_generators, cone_from_inequalities, normal_face
+from .exactlin import dot
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
@@ -36,6 +44,11 @@ _CHUNK_FLOATS = 1 << 19
 # pass per face; above it one argmin per draw costs less, because the
 # chunk, and with it each pass, holds fewer rows (table in CHANGES.md)
 _SWEEP_MAX_FACES = 24
+# a coordinate product's kernel costs its blocks' margin rows plus this many
+# per block, the fixed cost of one block's classify call in margin rows;
+# above the full kernel's rows the product takes the full kernel (table in
+# CHANGES.md)
+_BLOCK_CALL_ROWS = 10
 # per-thread scratch for classify's margins: one buffer per dtype reused
 # across calls and kernels, so the hot loop allocates no chunk-sized
 # temporaries; a buffer per kernel would pin up to 4 MiB for every cached
@@ -153,29 +166,12 @@ class ProjectionKernel:
     def __init__(self, c: Cone):
         lattice = face_lattice(c)
         self.d = d = c.d
+        self.face_dims, self.bases, self.projectors = _face_spans(lattice)
         gens_unit = _unit_rows(c.generators, d)
         facets_unit = _unit_rows(c.inequalities, d)
-        self.face_dims = np.array([f.dim for f in lattice.faces], dtype=int)
-        self.bases = []  # per-face orthonormal span basis, shape (d, k)
-        projs = []
         blocks = []  # per-face W_j^T, shape (columns, d)
-        for f in lattice.faces:
-            if f.dim == 0:
-                q = np.zeros((d, 0))
-            else:
-                # the RREF rows in float, each entry row[j] / row[p] correctly
-                # rounded as float(Fraction(row[j], row[p])) would be; QR of
-                # the unscaled integer rows would round differently
-                rows = np.array([[x / row[p] for x in row] for p, row in f.span.echelon])
-                q, _ = np.linalg.qr(rows.T)
-            proj = q @ q.T
-            self.bases.append(q)
-            projs.append(proj)
-            outer = [i for i in range(len(c.inequalities)) if i not in f.active]
-            # generators inside the face pair to 0 with q in N_F C, so only
-            # those outside it constrain the residual
-            outer_gens = [i for i in range(len(c.generators))
-                          if not f.gen_mask >> i & 1]
+        for f, proj in zip(lattice.faces, self.projectors):
+            outer, outer_gens = _outer(f)
             blocks.append(np.vstack([facets_unit[outer] @ proj,
                                      gens_unit[outer_gens] @ (np.eye(d) - proj)]))
         nf = len(blocks)
@@ -185,7 +181,6 @@ class ProjectionKernel:
         for j, b in enumerate(blocks):
             w[:len(b), j] = b
             pad[:len(b), j] = False
-        self.projectors = np.array(projs)  # (nf, d, d)
         self._w = w.reshape(m * nf, d)
         self._pad = np.flatnonzero(pad)  # rows of _w set to -inf after the matmul
         self._slots = m
@@ -223,8 +218,7 @@ class ProjectionKernel:
             k = best[lo:hi]
             _select(t, k, m1[lo:hi], m2[lo:hi], buf[(ms + nf) * r:(ms + nf + 1) * r])
             if pnorm2:
-                pg = np.einsum("ri,rij->rj", gc, self.projectors[k])
-                pn2[lo:hi] = np.einsum("rj,rj->r", pg, gc)
+                pn2[lo:hi] = _pnorm2(gc, self.projectors[k])
         np.negative(m1, out=m1)
         np.negative(m2, out=m2)
         return best, pn2, _accept(g, m1, m2), (m1, m2)
@@ -301,9 +295,116 @@ def _accept(g, m1, m2):
     return ok
 
 
+def _pnorm2(g, projectors):
+    """|P_r g_r|^2 per row r, with P_r = projectors[r]."""
+    return np.einsum("rj,rj->r", np.einsum("ri,rij->rj", g, projectors), g)
+
+
+class ProductKernel:
+    """Projection kernel of a coordinate product C = C_1 x ... x C_k, one
+    `ProjectionKernel` per factor, with the face spans of the whole cone.
+
+    The faces of C are the products F_1 x ... x F_k of faces of the
+    factors, and the Moreau projection splits factor by factor, so a draw
+    is classified on each factor's own columns.  The margin of a product
+    face is the least of its factors' margins, so the best face is the
+    tuple of each factor's best face, with margin m1 = min_i m1_i.  The
+    second best differs from it in some factor j, so its margin is at
+    most min(m2_j, m1), attained with every other factor's best face; so
+    m2 = min(m1, max_i m2_i).  A mixed-radix table, built
+    exactly from generator masks, maps each tuple to its face of C in
+    lattice order.  Acceptance is the full kernel's rule on the whole
+    draw, and |P g|^2 the same gather of C's face projectors, so ok equals
+    the full kernel's, and so do the face and |P g|^2 of every accepted
+    draw (a rejected draw's tie may fall to another face); m1 and m2
+    differ from its only by the rounding of the factors' smaller QRs.  A
+    margin pass costs the sum of the factors' constraint rows, not their
+    product.
+    """
+
+    def __init__(self, c: Cone, blocks, factors):
+        lattice = face_lattice(c)
+        self.d = d = c.d
+        self.face_dims, self.bases, self.projectors = _face_spans(lattice)
+        # equal factors share one kernel: every factor is alive here
+        self._factors = [(np.array(cols), _kernel_for(f)) for cols, f in zip(blocks, factors)]
+        index = {f.gen_mask: j for j, f in enumerate(lattice.faces)}
+        masks = [0]  # generator mask of C's face, per mixed-radix code
+        for cols, factor in zip(blocks, factors):
+            own = [(i, tuple(r[k] for k in cols)) for i, r in enumerate(c.generators)
+                   if any(r[k] for k in cols)]
+            # a generator of C in this block lies in a face of the factor
+            # iff every facet active on the face is tight on its restriction
+            block = [sum(1 << i for i, r in own
+                         if not any(dot(factor.inequalities[a], r) for a in face.active))
+                     for face in face_lattice(factor).faces]
+            masks = [m | b for m in masks for b in block]
+        self._table = np.array([index[m] for m in masks], dtype=np.intp)
+        # rows per |P g|^2 chunk: its projector gather holds _CHUNK_FLOATS / 8
+        # floats, so memory stays flat whatever the batch
+        self._chunk = max(1, _CHUNK_FLOATS // (8 * d * d))
+
+    def classify(self, g: np.ndarray, pnorm2: bool = True):
+        """`ProjectionKernel.classify`, factor by factor."""
+        b = g.shape[0]
+        code = np.zeros(b, dtype=np.intp)
+        m1 = np.full(b, np.inf)
+        m2 = np.full(b, -np.inf)
+        for cols, kern in self._factors:
+            k, _, _, (a1, a2) = kern.classify(g[:, cols], pnorm2=False)
+            code *= len(kern.face_dims)
+            code += k
+            np.minimum(m1, a1, out=m1)
+            np.maximum(m2, a2, out=m2)
+        np.minimum(m2, m1, out=m2)
+        best = self._table[code]
+        pn2 = None
+        if pnorm2:
+            pn2 = np.empty(b)
+            for lo in range(0, b, self._chunk):
+                hi = min(lo + self._chunk, b)
+                pn2[lo:hi] = _pnorm2(g[lo:hi], self.projectors[best[lo:hi]])
+        return best, pn2, _accept(g, m1, m2), (m1, m2)
+
+
 def _unit_rows(rows, d: int) -> np.ndarray:
     a = np.array([[float(x) for x in r] for r in rows], dtype=float).reshape(len(rows), d)
     return a / np.linalg.norm(a, axis=1)[:, None] if len(a) else a
+
+
+def _face_spans(lattice):
+    """(face_dims, bases, projectors) of a lattice's faces: each face's
+    dimension, orthonormal span basis (d, k) and span projector, stacked
+    (nf, d, d)."""
+    d = lattice.cone.d
+    bases = []
+    for f in lattice.faces:
+        if f.dim == 0:
+            q = np.zeros((d, 0))
+        else:
+            # the RREF rows in float, each entry row[j] / row[p] correctly
+            # rounded as float(Fraction(row[j], row[p])) would be; QR of
+            # the unscaled integer rows would round differently
+            rows = np.array([[x / row[p] for x in row] for p, row in f.span.echelon])
+            q, _ = np.linalg.qr(rows.T)
+        bases.append(q)
+    dims = np.array([f.dim for f in lattice.faces], dtype=int)
+    return dims, bases, np.array([q @ q.T for q in bases])
+
+
+def _outer(f: Face):
+    """The facets not active on f and the generators outside it: the
+    constraints of f's margin.  Generators inside the face pair to 0 with
+    q in N_F C, so only those outside it constrain the residual."""
+    p = f.parent
+    return ([i for i in range(len(p.inequalities)) if i not in f.active],
+            [i for i in range(len(p.generators)) if not f.gen_mask >> i & 1])
+
+
+def _margin_rows(c: Cone) -> int:
+    """Rows of c's full stacked constraint matrix: slots times faces."""
+    faces = face_lattice(c).faces
+    return max(1, max(sum(map(len, _outer(f))) for f in faces)) * len(faces)
 
 
 def moreau_project(c: Cone, x) -> tuple[np.ndarray, np.ndarray, Face]:
@@ -331,17 +432,30 @@ def moreau_project(c: Cone, x) -> tuple[np.ndarray, np.ndarray, Face]:
 _kernel_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _kernel_for(c: Cone) -> ProjectionKernel:
+def _kernel_for(c: Cone) -> ProjectionKernel | ProductKernel:
     kern = _kernel_cache.get(c)
     if kern is None:
-        kern = _kernel_cache[c] = ProjectionKernel(c)
+        kern = _kernel_cache[c] = _compile(c)
     return kern
+
+
+def _compile(c: Cone) -> ProjectionKernel | ProductKernel:
+    """The cheaper kernel for c: a `ProductKernel` when c has coordinate
+    blocks whose margin rows, plus _BLOCK_CALL_ROWS for each block's call,
+    are fewer than the full kernel's rows; else a `ProjectionKernel`."""
+    blocks = _coordinate_blocks(c)
+    if blocks is not None:
+        factors = [_restrict_to_coords(c, cols) for cols in blocks]
+        if sum(_margin_rows(f) + _BLOCK_CALL_ROWS for f in factors) < _margin_rows(c):
+            return ProductKernel(c, blocks, factors)
+    return ProjectionKernel(c)
 
 
 _BATCH = 16384
 
 
-def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2: bool):
+def _sample_faces(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, stream: int,
+                  pnorm2: bool):
     """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws;
     pnorm2 is None unless asked for.
 
@@ -403,7 +517,8 @@ def estimate_functionals(c: Cone, cfg: SampleConfig, funcs):
     return _functional_stats(_kernel_for(c), cfg, funcs, stream=0)
 
 
-def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: int):
+def _functional_stats(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, funcs,
+                      stream: int):
     """The one loop from draws to functionals: {name: (mean, SE)} of each
     fn(face_dim, |p|^2) over cfg.n_samples draws of substream `stream`, the
     SE floored at 1/n."""

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import sys
@@ -25,6 +26,7 @@ from conevol.volumes import (
     REL_TOL,
     AmbiguousProjection,
     IVExact,
+    ProductKernel,
     ProjectionKernel,
     SampleConfig,
     estimate_iv,
@@ -666,3 +668,195 @@ def test_too_many_ambiguous_draws_raise(monkeypatch, estimator):
     monkeypatch.setattr(volumes, "REL_TOL", 1e-2)
     with pytest.raises(AmbiguousProjection):
         estimator(ORTHANT3, SampleConfig(n_samples=20_000, seed=3))
+
+
+# ---------------------------------------------------------------------------
+# The product kernel against the full kernel
+
+
+@st.composite
+def _factor_cones(draw):
+    """A small random cone in R^1 to R^3, pointed or with one lineality
+    direction; it may itself split into coordinate blocks."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    # entries leaning positive, so most factors are pointed and not subspaces
+    vec = st.lists(st.integers(min_value=-1, max_value=2), min_size=d, max_size=d).filter(any)
+    gens = draw(st.lists(vec, min_size=d, max_size=4))
+    lin = draw(st.lists(vec, max_size=1 if d > 1 else 0))
+    return cone_from_generators(gens, lin, d)
+
+
+_LINE_BLOCK = cone_from_generators([], [[1]], 1)
+_ZERO_BLOCK = cone_from_generators([], [], 1)
+
+
+def _permuted(c, perm):
+    """c with coordinate perm[i] moved to position i."""
+    moved = lambda rows: [[r[i] for i in perm] for r in rows]
+    return cone_from_generators(moved(c.generators), moved(c.lineality.basis), c.d)
+
+
+@st.composite
+def _product_cones(draw):
+    """The product of 2 or 3 random factors, a line and the zero cone {0},
+    its coordinates permuted."""
+    factors = draw(st.lists(_factor_cones(), min_size=2, max_size=3))
+    c = functools.reduce(product, factors + [_LINE_BLOCK, _ZERO_BLOCK])
+    return _permuted(c, draw(st.permutations(range(c.d))))
+
+
+def _product_kernel(c):
+    """c's kernel over its coordinate blocks, whatever the cost rule says;
+    a cone with none is one block of every coordinate."""
+    blocks = volumes._coordinate_blocks(c) or [list(range(c.d))]
+    return ProductKernel(c, blocks, [volumes._restrict_to_coords(c, b) for b in blocks])
+
+
+def _assert_product_matches_full(c, g):
+    """ok equal bit for bit; the face equal wherever ok, and |P g|^2 bit
+    for bit wherever the faces are equal; m1 and m2 within 1e-12 of
+    max(|g|, 1), the factors' QRs rounding apart from the whole cone's.
+    Where no face is separated, ties may fall to another face."""
+    full, prod = ProjectionKernel(c), _product_kernel(c)
+    scale = np.maximum(np.linalg.norm(g, axis=1), 1.0)
+    for pnorm2 in (True, False):
+        idx, pn2, ok, (m1, m2) = prod.classify(g, pnorm2)
+        w_idx, w_pn2, w_ok, (w_m1, w_m2) = full.classify(g, pnorm2)
+        np.testing.assert_array_equal(ok, w_ok)
+        np.testing.assert_array_equal(idx[ok], w_idx[ok])
+        if pnorm2:
+            same = idx == w_idx
+            assert np.array_equal(_bits(pn2[same]), _bits(w_pn2[same]))
+        else:
+            assert pn2 is None
+        for got, want in ((m1, w_m1), (m2, w_m2)):
+            inf = np.isinf(want)
+            np.testing.assert_array_equal(got[inf], want[inf])
+            assert np.all(np.abs(got[~inf] - want[~inf]) <= 1e-12 * scale[~inf])
+
+
+def _assert_table_is_lattice_bijection(c, prod):
+    """Every tuple of block faces names one face of c, each face once, and
+    block dimensions add up to its dimension."""
+    faces = face_lattice(c).faces
+    assert sorted(prod._table.tolist()) == list(range(len(faces)))
+    kerns = [k for _, k in prod._factors]
+    codes = np.unravel_index(np.arange(len(faces)), [len(k.face_dims) for k in kerns])
+    dims = sum(k.face_dims[i] for k, i in zip(kerns, codes))
+    np.testing.assert_array_equal(dims, [faces[j].dim for j in prod._table])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_product_kernel_matches_full_kernel_catalog(name):
+    c = CATALOG[name]
+    rng = np.random.default_rng(17)
+    _assert_table_is_lattice_bijection(c, _product_kernel(c))
+    _assert_product_matches_full(c, rng.standard_normal((5000, c.d)))
+    _assert_product_matches_full(c, _hard_rows(c, rng, 600))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_product_cones(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_product_kernel_matches_full_kernel_random_products(c, seed):
+    rng = np.random.default_rng(seed)
+    _assert_table_is_lattice_bijection(c, _product_kernel(c))
+    _assert_product_matches_full(c, rng.standard_normal((512, c.d)))
+    _assert_product_matches_full(c, _hard_rows(c, rng, 300))
+
+
+def test_kernel_path_choice():
+    # the cost rule: blocks' margin rows plus _BLOCK_CALL_ROWS per block
+    # against the full kernel's rows (orthant-4d: 4 (2 + 10) < 64;
+    # orthant-3d: 3 (2 + 10) > 24)
+    for c in CATALOG.values():
+        assert volumes._margin_rows(c) == ProjectionKernel(c)._w.shape[0]
+    on_blocks = {name for name, c in CATALOG.items()
+                 if isinstance(volumes._kernel_for(c), ProductKernel)}
+    assert on_blocks == {"orthant-4d", "orthant-6d"}
+    for name in ("orthant-2d", "cross-cone-4d", "square-cone-3d"):
+        assert type(volumes._kernel_for(CATALOG[name])) is ProjectionKernel
+    # six equal rays share one kernel
+    kern = volumes._kernel_for(CATALOG["orthant-6d"])
+    assert len({id(k) for _, k in kern._factors}) == 1 and len(kern._factors) == 6
+
+
+def test_product_kernel_holds_no_cone():
+    gc.collect()
+    before = len(volumes._kernel_cache)
+    c = cone_from_generators(np.eye(5, dtype=int).tolist(), [], 5)
+    kern = volumes._kernel_for(c)
+    assert isinstance(kern, ProductKernel)
+    del c
+    gc.collect()
+    assert len(volumes._kernel_cache) == before
+    assert kern.classify(np.ones((1, 5)))[2].all()
+
+
+def test_estimate_iv_orthant8_on_the_product_path():
+    c = cone_from_generators(np.eye(8, dtype=int).tolist(), [], 8)
+    assert isinstance(volumes._kernel_for(c), ProductKernel)
+    est = estimate_iv(c, SampleConfig(n_samples=100_000, seed=8))
+    for k in range(9):
+        assert abs(est.values[k] - math.comb(8, k) / 256) <= 4 * est.std_errors[k]
+
+
+# ---------------------------------------------------------------------------
+# The Moreau decomposition on random cones
+
+
+def _assert_moreau(c, x, p, q, face):
+    """x = p + q, p ⟂ q, p in C, q in C°, and p in relint(face), within
+    REL_TOL of max(|x|, 1) in each unit-normal direction."""
+    scale = max(float(np.linalg.norm(x)), 1.0)
+    tol = REL_TOL * scale
+    facets, gens = _unit(c.inequalities, c.d), _unit(c.generators, c.d)
+    eqs, lin = _unit(c.equalities, c.d), _unit(c.lineality.basis, c.d)
+    assert np.linalg.norm(p + q - x) <= tol
+    assert abs(float(p @ q)) <= tol * scale
+    assert np.all(facets @ p <= tol) and np.all(np.abs(eqs @ p) <= tol)
+    assert np.all(gens @ q <= tol) and np.all(np.abs(lin @ q) <= tol)
+    # relint(face): in the face's span, strictly inside every other facet
+    if face.dim:
+        qf, _ = np.linalg.qr(_unit(face.span.basis, c.d).T)
+        assert np.linalg.norm(p - qf @ (qf.T @ p)) <= tol
+    else:
+        assert np.linalg.norm(p) <= tol
+    outer = [i for i in range(len(c.inequalities)) if i not in face.active]
+    assert np.all(facets[outer] @ p < 0)
+
+
+def _assert_moreau_on_draws(c, rng, n):
+    decided = 0
+    for x in np.vstack([rng.standard_normal((n, c.d)),
+                        rng.integers(-2, 3, (n, c.d)).astype(float)]):
+        try:
+            p, q, face = moreau_project(c, x)
+        except AmbiguousProjection:
+            continue
+        decided += 1
+        assert any(face is f for f in face_lattice(c).faces)
+        _assert_moreau(c, x, p, q, face)
+    # every Gaussian draw is decided but for probability ~1e-9
+    assert decided >= n
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(_small_cones(), _product_cones()),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_moreau_decomposition_on_random_cones(c, seed):
+    _assert_moreau_on_draws(c, np.random.default_rng(seed), 16)
+
+
+_ON_BLOCKS = {
+    "orthant-6d": CATALOG["orthant-6d"],
+    "wedge-square-line-zero-7d": _permuted(
+        functools.reduce(product, [WEDGE45, SQUARE, _LINE_BLOCK, _ZERO_BLOCK]),
+        [3, 6, 0, 5, 2, 4, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ON_BLOCKS))
+def test_moreau_decomposition_on_the_product_path(name):
+    c = _ON_BLOCKS[name]
+    assert isinstance(volumes._kernel_for(c), ProductKernel)
+    _assert_moreau_on_draws(c, np.random.default_rng(23), 200)
