@@ -64,7 +64,7 @@ from .exactlin import dot, kernel
 from .volumes import (
     IVEstimate,
     SampleConfig,
-    _kernel_for,
+    _classify_points,
     derive_seed,
     estimate_functionals,
     estimate_iv,
@@ -544,9 +544,8 @@ def _line_hit(c: Cone, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that is whether C's projection kernel puts it on the top face, the only
     one of dimension d; and whether the kernel decides both without
     ambiguity."""
-    kern = _kernel_for(c)
-    plus, _, ok_plus, _ = kern.classify(u, pnorm2=False)
-    minus, _, ok_minus, _ = kern.classify(-u, pnorm2=False)
+    kern, (plus, _, ok_plus, _) = _classify_points(c, u)
+    _, (minus, _, ok_minus, _) = _classify_points(c, -u)
     return (kern.face_dims[plus] == c.d) | (kern.face_dims[minus] == c.d), ok_plus & ok_minus
 
 

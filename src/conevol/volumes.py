@@ -21,6 +21,21 @@ cached weakly per cone: equal cones share one kernel, and it is dropped
 with the cone that keys it.  Estimators are deterministic for a fixed
 (seed, workers): sample counts are partitioned across worker substreams
 keyed by (seed, stream, worker) and tallies merge by addition.
+
+What is drawn.  Moreau's decomposition splits C = L + (C ∩ L^⊥), L the
+lineality space, and g's components in L, in span(C) ∩ L^⊥ and off
+span(C) are independent.  The face of a draw and its projection onto
+C ∩ L^⊥ depend only on the middle one, so each kernel is compiled in an
+orthonormal basis U of span(C) ∩ L^⊥, k = dim C - dim L columns, and a
+draw is h ~ N(0, I_k): nothing is drawn off the span or along L.  Where
+|P g|^2 is read, each accepted draw adds the squared norm of dim L further
+normals, the χ²(dim L) share of L.  A subspace (k = 0) has one face, which
+`estimate_iv` tallies without drawing.  The acceptance rule is unchanged,
+with |h| in place of |g|.  A full-dimensional pointed cone keeps the
+ambient basis, U = I without the multiplication, so its draws, faces,
+margins and |P g|^2 are those of the ambient kernel bit for bit.
+`moreau_project` and Crofton's line test take their ambient points into U
+before they classify.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ import numpy as np
 
 from .cone import Cone, Face, canonical_decomposition, face_lattice, polar
 from .cone import cone_from_generators, cone_from_inequalities, normal_face
-from .exactlin import dot
+from .exactlin import Subspace, dot, kernel
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
@@ -45,7 +60,7 @@ _CHUNK_FLOATS = 1 << 19
 # chunk, and with it each pass, holds fewer rows (table in CHANGES.md)
 _SWEEP_MAX_FACES = 24
 # a coordinate product's kernel costs its blocks' margin rows plus this many
-# per block, the fixed cost of one block's classify call in margin rows;
+# per block, the fixed cost of one block's `_locate` call in margin rows;
 # above the full kernel's rows the product takes the full kernel (table in
 # CHANGES.md)
 _BLOCK_CALL_ROWS = 10
@@ -153,6 +168,14 @@ class ProjectionKernel:
     per-face maxima live in one per-thread workspace shared by every
     kernel, so classifying allocates only the arrays it returns.
 
+    With a basis U, an orthonormal (d, k) basis of span(C) ∩ lin(C)^⊥, the
+    kernel works in U's coordinates h = U^T g instead: A_j, R_j become A_j U
+    and R_j U, unscaled, and P_j the projector onto the coordinates of
+    span(F_j) ∩ lin(C)^⊥.  A_j is orthogonal to lin(C) and R_j lies in
+    span(C), so every margin at h equals the ambient kernel's at g; only
+    the tolerance reads |h| where the ambient kernel reads |g|.  Without a
+    basis the kernel is the ambient one, k = d.
+
     The best face is the first one attaining the largest margin, argmin's
     tie rule, found by one elementwise pass per face up to
     _SWEEP_MAX_FACES faces.  A draw is accepted when its best margin
@@ -163,12 +186,16 @@ class ProjectionKernel:
     outputs, bit for bit, as a per-draw argmin and per-draw tolerances.
     """
 
-    def __init__(self, c: Cone):
+    def __init__(self, c: Cone, basis: np.ndarray | None = None):
         lattice = face_lattice(c)
-        self.d = d = c.d
-        self.face_dims, self.bases, self.projectors = _face_spans(lattice)
-        gens_unit = _unit_rows(c.generators, d)
-        facets_unit = _unit_rows(c.inequalities, d)
+        self._basis = basis
+        # normals whose squared norm the sampler adds to |P h|^2: lin(C)'s
+        # share of a draw, which the basis leaves out
+        self._lin_draws = 0 if basis is None else c.lineality_dim
+        self.d = d = c.d if basis is None else basis.shape[1]
+        self.face_dims, self.bases, self.projectors, self._spans = _face_spans(lattice, basis)
+        gens_unit = _in_basis(_unit_rows(c.generators, c.d), basis)
+        facets_unit = _in_basis(_unit_rows(c.inequalities, c.d), basis)
         blocks = []  # per-face W_j^T, shape (columns, d)
         for f, proj in zip(lattice.faces, self.projectors):
             outer, outer_gens = _outer(f)
@@ -196,6 +223,11 @@ class ProjectionKernel:
         computed only when pnorm2 is true; otherwise that slot is None.
         The returned arrays are fresh and never alias the workspace.
         """
+        best, pn2, m1, m2 = self._locate(g, pnorm2)
+        return best, pn2, _accept(g, m1, m2), (m1, m2)
+
+    def _locate(self, g: np.ndarray, pnorm2: bool = False):
+        """`classify` without the acceptance: (face_index, pnorm2, m1, m2)."""
         b = g.shape[0]
         nf = len(self.bases)
         ms = self._slots * nf
@@ -221,7 +253,7 @@ class ProjectionKernel:
                 pn2[lo:hi] = _pnorm2(gc, self.projectors[k])
         np.negative(m1, out=m1)
         np.negative(m2, out=m2)
-        return best, pn2, _accept(g, m1, m2), (m1, m2)
+        return best, pn2, m1, m2
 
 
 def _select(t, best, lo1, lo2, tmp):
@@ -284,7 +316,7 @@ def _accept(g, m1, m2):
     beyond it; only rows with both margins between 0 and it get their own
     norm.  A non-finite g makes the bound NaN, which decides no row."""
     b, d = g.shape
-    top = max(float(g.max()), -float(g.min())) if b else 0.0
+    top = max(float(g.max()), -float(g.min())) if g.size else 0.0
     bound = REL_TOL * max(math.sqrt(d) * top * (1 + 1e-12), 1.0)
     ok = (m1 > bound) & (m2 < -bound)
     rest = np.flatnonzero(~ok)
@@ -319,15 +351,33 @@ class ProductKernel:
     draw (a rejected draw's tie may fall to another face); m1 and m2
     differ from its only by the rounding of the factors' smaller QRs.  A
     margin pass costs the sum of the factors' constraint rows, not their
-    product.
+    product.  A factor with one face, a line or {0}, has margins +inf and
+    -inf and radix 1, so it is left out of the pass.
+
+    Each factor kernel works in its own basis, so the product draws in the
+    factors' bases side by side: a basis of span(C) ∩ lin(C)^⊥ in which
+    each factor reads its own run of columns.  A product of
+    full-dimensional pointed factors keeps the ambient basis (None), each
+    factor reading its own coordinates.
     """
 
     def __init__(self, c: Cone, blocks, factors):
         lattice = face_lattice(c)
-        self.d = d = c.d
-        self.face_dims, self.bases, self.projectors = _face_spans(lattice)
         # equal factors share one kernel: every factor is alive here
         self._factors = [(np.array(cols), _kernel_for(f)) for cols, f in zip(blocks, factors)]
+        # per factor of the pass: its columns of a draw and its kernel
+        self._reads = [(cols, k) for cols, k in self._factors if len(k.face_dims) > 1]
+        self._basis = None
+        if any(k._basis is not None for _, k in self._factors):
+            self._basis = np.zeros((c.d, sum(k.d for _, k in self._reads)))
+            at = 0
+            for j, (cols, k) in enumerate(self._reads):
+                self._basis[cols, at:at + k.d] = np.eye(k.d) if k._basis is None else k._basis
+                self._reads[j] = (slice(at, at + k.d), k)
+                at += k.d
+        self._lin_draws = 0 if self._basis is None else c.lineality_dim
+        self.d = d = c.d if self._basis is None else self._basis.shape[1]
+        self.face_dims, self.bases, self.projectors, self._spans = _face_spans(lattice, self._basis)
         index = {f.gen_mask: j for j, f in enumerate(lattice.faces)}
         masks = [0]  # generator mask of C's face, per mixed-radix code
         for cols, factor in zip(blocks, factors):
@@ -342,7 +392,7 @@ class ProductKernel:
         self._table = np.array([index[m] for m in masks], dtype=np.intp)
         # rows per |P g|^2 chunk: its projector gather holds _CHUNK_FLOATS / 8
         # floats, so memory stays flat whatever the batch
-        self._chunk = max(1, _CHUNK_FLOATS // (8 * d * d))
+        self._chunk = max(1, _CHUNK_FLOATS // (8 * max(d, 1) ** 2))
 
     def classify(self, g: np.ndarray, pnorm2: bool = True):
         """`ProjectionKernel.classify`, factor by factor."""
@@ -350,8 +400,8 @@ class ProductKernel:
         code = np.zeros(b, dtype=np.intp)
         m1 = np.full(b, np.inf)
         m2 = np.full(b, -np.inf)
-        for cols, kern in self._factors:
-            k, _, _, (a1, a2) = kern.classify(g[:, cols], pnorm2=False)
+        for cols, kern in self._reads:
+            k, _, a1, a2 = kern._locate(g[:, cols])
             code *= len(kern.face_dims)
             code += k
             np.minimum(m1, a1, out=m1)
@@ -372,24 +422,51 @@ def _unit_rows(rows, d: int) -> np.ndarray:
     return a / np.linalg.norm(a, axis=1)[:, None] if len(a) else a
 
 
-def _face_spans(lattice):
-    """(face_dims, bases, projectors) of a lattice's faces: each face's
-    dimension, orthonormal span basis (d, k) and span projector, stacked
-    (nf, d, d)."""
-    d = lattice.cone.d
-    bases = []
-    for f in lattice.faces:
-        if f.dim == 0:
-            q = np.zeros((d, 0))
-        else:
-            # the RREF rows in float, each entry row[j] / row[p] correctly
-            # rounded as float(Fraction(row[j], row[p])) would be; QR of
-            # the unscaled integer rows would round differently
-            rows = np.array([[x / row[p] for x in row] for p, row in f.span.echelon])
-            q, _ = np.linalg.qr(rows.T)
-        bases.append(q)
+def _in_basis(rows: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """Ambient rows in the coordinates of basis; as they are without one."""
+    return rows if basis is None else rows @ basis
+
+
+def _orthonormal(s: Subspace) -> np.ndarray:
+    """Orthonormal basis (d, dim) of s: the QR factor of its RREF rows in
+    float, each entry row[j] / row[p] correctly rounded as
+    float(Fraction(row[j], row[p])) would be; QR of the unscaled integer
+    rows would round differently."""
+    if s.dim == 0:
+        return np.zeros((s.dim_ambient, 0))
+    q, _ = np.linalg.qr(np.array([[x / row[p] for x in row] for p, row in s.echelon]).T)
+    return q
+
+
+def _own_basis(c: Cone) -> np.ndarray | None:
+    """The basis c's draws are taken in: `_orthonormal` of span(C) ∩
+    lin(C)^⊥, the kernel of the equalities and the lineality rows, which
+    is k = dim C - dim lin(C) exact unit vectors for a coordinate
+    subspace; None, the ambient basis, for a full-dimensional pointed
+    cone."""
+    if c.is_pointed and c.dim == c.d:
+        return None
+    return _orthonormal(kernel(c.equalities + c.lineality.basis, c.d))
+
+
+def _face_spans(lattice, basis: np.ndarray | None = None):
+    """(face_dims, bases, projectors, spans) of a lattice's faces: each
+    face's dimension, an orthonormal basis of its span and the span
+    projector, stacked (nf, k, k), and the ambient span bases (d, dim F),
+    `_orthonormal` of each face's span.  Without a basis U, k = d and the
+    span basis is the ambient one.  With one, the span basis is one of
+    span(F) ∩ lin(C)^⊥ in U's k coordinates: span(F) is lin(C) plus that
+    part, so U^T Q has singular values 0 on the first and 1 on the second,
+    and the leading dim F - dim lin(C) left singular vectors span it."""
+    lin = lattice.cone.lineality_dim
+    k = lattice.cone.d if basis is None else basis.shape[1]
+    spans = [_orthonormal(f.span) for f in lattice.faces]
+    bases = spans
+    if basis is not None:
+        bases = [np.linalg.svd(basis.T @ q, full_matrices=False)[0][:, :f.dim - lin]
+                 if f.dim > lin else np.zeros((k, 0)) for f, q in zip(lattice.faces, spans)]
     dims = np.array([f.dim for f in lattice.faces], dtype=int)
-    return dims, bases, np.array([q @ q.T for q in bases])
+    return dims, bases, np.array([q @ q.T for q in bases]).reshape(len(bases), k, k), spans
 
 
 def _outer(f: Face):
@@ -414,18 +491,24 @@ def moreau_project(c: Cone, x) -> tuple[np.ndarray, np.ndarray, Face]:
     relative interior; raises AmbiguousProjection when the float margins
     cannot separate one.
     """
-    kern = _kernel_for(c)
     x = np.asarray(x, dtype=float).reshape(1, -1)
     if x.shape[1] != c.d:
         raise ValueError("point dimension does not match the cone")
     if not np.isfinite(x).all():
         raise ValueError("point coordinates must be finite")
-    idx, _, ok, (m1, m2) = kern.classify(x, pnorm2=False)
+    kern, (idx, _, ok, (m1, m2)) = _classify_points(c, x)
     if not ok[0]:
         raise AmbiguousProjection(float(m1[0]), float(m2[0]))
-    q = kern.bases[idx[0]]
+    q = kern._spans[idx[0]]
     p = (x @ q) @ q.T if q.shape[1] else np.zeros_like(x)
     return p[0], (x - p)[0], face_lattice(c).faces[idx[0]]
+
+
+def _classify_points(c: Cone, x: np.ndarray):
+    """(kernel, classify result) of c's kernel on the ambient rows x, taken
+    into the kernel's basis, without |P x|^2."""
+    kern = _kernel_for(c)
+    return kern, kern.classify(_in_basis(x, kern._basis), pnorm2=False)
 
 
 # an entry lives as long as the cone that keys it: its kernel refers to neither
@@ -440,15 +523,18 @@ def _kernel_for(c: Cone) -> ProjectionKernel | ProductKernel:
 
 
 def _compile(c: Cone) -> ProjectionKernel | ProductKernel:
-    """The cheaper kernel for c: a `ProductKernel` when c has coordinate
-    blocks whose margin rows, plus _BLOCK_CALL_ROWS for each block's call,
-    are fewer than the full kernel's rows; else a `ProjectionKernel`."""
+    """The cheaper kernel for c, in c's own basis: a `ProductKernel` when c
+    has at least two coordinate blocks with more than one face whose margin
+    rows, plus _BLOCK_CALL_ROWS for each block's call, are fewer than the
+    full kernel's rows; else a `ProjectionKernel`."""
     blocks = _coordinate_blocks(c)
     if blocks is not None:
         factors = [_restrict_to_coords(c, cols) for cols in blocks]
-        if sum(_margin_rows(f) + _BLOCK_CALL_ROWS for f in factors) < _margin_rows(c):
+        drawn = [f for f in factors if not f.is_subspace]
+        if len(drawn) > 1 and (sum(_margin_rows(f) + _BLOCK_CALL_ROWS for f in drawn)
+                               < _margin_rows(c)):
             return ProductKernel(c, blocks, factors)
-    return ProjectionKernel(c)
+    return ProjectionKernel(c, _own_basis(c))
 
 
 _BATCH = 16384
@@ -459,8 +545,12 @@ def _sample_faces(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, str
     """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws;
     pnorm2 is None unless asked for.
 
-    Ambiguous draws are replaced by fresh draws from the same substream;
-    raises if they exceed 0.1% of the budget.
+    A draw is h ~ N(0, I_k) in the kernel's basis.  When pnorm2 is asked
+    for and the basis leaves out lin(C), each accepted draw's |P h|^2 gains
+    the squared norm of dim lin(C) further normals, its χ² share in lin(C),
+    drawn after the batch from the same substream.  Ambiguous draws are
+    replaced by fresh draws from the same substream; raises if they exceed
+    0.1% of the budget.
     """
     n = cfg.n_samples
     per = [n // cfg.workers + (1 if w < n % cfg.workers else 0) for w in range(cfg.workers)]
@@ -476,20 +566,28 @@ def _sample_faces(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, str
             ambiguous += b - n_ok
             if ambiguous > 0.001 * n + 8:
                 raise AmbiguousProjection(float("nan"), float("nan"))
-            if n_ok == b:
+            if n_ok < b:
+                idx, pn2 = idx[ok], (pn2[ok] if pnorm2 else None)
+            if pnorm2 and kern._lin_draws:
+                t = rng.standard_normal((n_ok, kern._lin_draws))
+                pn2 += np.einsum("ij,ij->i", t, t)
+            if n_ok:
                 yield idx, pn2
-            elif n_ok:
-                yield idx[ok], (pn2[ok] if pnorm2 else None)
             need -= n_ok
 
 
 def estimate_iv(c: Cone, cfg: SampleConfig) -> IVEstimate:
     """Monte Carlo intrinsic volumes by tallying face dimensions of
-    Gaussian projections; deterministic for fixed (seed, workers)."""
+    Gaussian projections; deterministic for fixed (seed, workers).  A
+    subspace, whose one face takes every draw, is tallied without
+    drawing."""
     kern = _kernel_for(c)
     counts = np.zeros(len(kern.face_dims), dtype=np.int64)
-    for idx, _ in _sample_faces(kern, cfg, stream=0, pnorm2=False):
-        counts += np.bincount(idx, minlength=len(counts))
+    if len(counts) == 1:
+        counts[0] = cfg.n_samples
+    else:
+        for idx, _ in _sample_faces(kern, cfg, stream=0, pnorm2=False):
+            counts += np.bincount(idx, minlength=len(counts))
     n = cfg.n_samples
     dim_counts = np.zeros(c.d + 1, dtype=np.int64)
     for j, dim in enumerate(kern.face_dims):

@@ -309,13 +309,14 @@ def test_sample_config_validation():
 
 
 def test_moreau_bulk_invariant_100k():
-    # p + q = x and <p, q> = 0 within 1e-9 for 1e5 samples per cone
+    # p + q = x and <p, q> = 0 within 1e-9 for 1e5 samples per cone, in the
+    # kernel's own basis (the halfplane's is its one pointed coordinate)
     from conevol.volumes import _kernel_for
 
     rng = np.random.default_rng(40)
     for c in (ORTHANT3, SQUARE, HALFPLANE):
         kern = _kernel_for(c)
-        g = rng.standard_normal((100_000, c.d))
+        g = rng.standard_normal((100_000, kern.d))
         idx, pn2, ok, _ = kern.classify(g)
         assert ok.mean() > 0.999
         for j in set(idx[ok]):
@@ -716,8 +717,12 @@ def _assert_product_matches_full(c, g):
     """ok equal bit for bit; the face equal wherever ok, and |P g|^2 bit
     for bit wherever the faces are equal; m1 and m2 within 1e-12 of
     max(|g|, 1), the factors' QRs rounding apart from the whole cone's.
-    Where no face is separated, ties may fall to another face."""
-    full, prod = ProjectionKernel(c), _product_kernel(c)
+    Where no face is separated, ties may fall to another face.  Both
+    kernels read the ambient rows g in the product's own basis, the one
+    its draws are taken in."""
+    prod = _product_kernel(c)
+    full = ProjectionKernel(c, prod._basis)
+    g = volumes._in_basis(g, prod._basis)
     scale = np.maximum(np.linalg.norm(g, axis=1), 1.0)
     for pnorm2 in (True, False):
         idx, pn2, ok, (m1, m2) = prod.classify(g, pnorm2)
@@ -860,3 +865,71 @@ def test_moreau_decomposition_on_the_product_path(name):
     c = _ON_BLOCKS[name]
     assert isinstance(volumes._kernel_for(c), ProductKernel)
     _assert_moreau_on_draws(c, np.random.default_rng(23), 200)
+
+
+# ---------------------------------------------------------------------------
+# Draws in each cone's own basis
+
+
+def _times(c, line):
+    """c x {0} in R^{d+1}, or c x R when line is true: one more coordinate,
+    zero on c's rows."""
+    pad = lambda rows: [list(r) + [0] for r in rows]
+    lin = pad(c.lineality.basis) + ([[0] * c.d + [1]] if line else [])
+    return cone_from_generators(pad(c.generators), lin, c.d + 1)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_tallies_equal_those_of_the_cone_times_zero_and_times_a_line(name):
+    c = CATALOG[name]
+    cfg = SampleConfig(n_samples=20_000, seed=4)
+    want = estimate_iv(c, cfg)
+    for line in (False, True):
+        e = _times(c, line)
+        # no draw off the span or along the lineality
+        assert volumes._kernel_for(e).d == volumes._kernel_for(c).d == c.dim - c.lineality_dim
+        got = estimate_iv(e, cfg)
+        assert got.face_hit_counts == want.face_hit_counts
+        assert got.values[line:] == want.values + (0.0,) * (1 - line)
+
+
+def test_subspace_estimate_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a subspace is tallied without drawing")
+
+    monkeypatch.setattr(volumes, "_rng", no_draws)
+    for name in ("line-1d", "zero-2d", "full-3d", "line-2d", "plane-3d", "diag-line-3d"):
+        c = CATALOG[name]
+        est = estimate_iv(c, SampleConfig(n_samples=1000, seed=1))
+        assert est.face_hit_counts == (1000,) and est.values[c.dim] == 1.0
+
+
+@pytest.mark.parametrize("name", ["zero-2d", "line-2d", "plane-3d", "diag-line-3d", "full-3d",
+                                  "halfspace-3d"])
+def test_statdim_mc_with_the_lineality_drawn_as_chi_square(name):
+    # a subspace draws only its chi-square; halfspace-3d one pointed
+    # coordinate and a chi-square of two
+    c = CATALOG[name]
+    val, se = statdim_mc(c, SampleConfig(n_samples=60_000, seed=6))
+    assert abs(val - float(statistical_dimension(exact_iv(c)))) <= 4 * se
+
+
+def test_statdim_mc_on_a_product_with_a_line_block():
+    # orthant-6d x R on the product path: six ray blocks drawn side by
+    # side, the line a chi-square of one; delta = 6/2 + 1
+    c = _times(CATALOG["orthant-6d"], line=True)
+    kern = volumes._kernel_for(c)
+    assert isinstance(kern, ProductKernel) and kern.d == 6 and kern._lin_draws == 1
+    val, se = statdim_mc(c, SampleConfig(n_samples=60_000, seed=6))
+    assert abs(val - 4.0) <= 4 * se
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_compiled_kernels_match_allocating_oracle_bitwise(name):
+    # the kernels the estimators use, in each cone's own basis; a product's
+    # factor kernels are the ones that classify
+    kern = volumes._kernel_for(CATALOG[name])
+    kerns = [k for _, k in kern._factors] if isinstance(kern, ProductKernel) else [kern]
+    for k in kerns:
+        for b in _batches(k):
+            _assert_same_bits(k, np.random.default_rng(b).standard_normal((b, k.d)))
