@@ -47,6 +47,7 @@ from .exactlin import (
     _kernel,
     _lift,
     _lin_cut,
+    _maximal,
     _prim,
     _unit_echelon,
     dot,
@@ -420,11 +421,7 @@ def _facets(rays, n: int) -> list[int]:
             low = z & -z
             zero[low.bit_length() - 1] |= 1 << k
             z ^= low
-    kept: list[int] = []
-    for t in sorted(range(n), key=lambda t: -zero[t].bit_count()):
-        if not any(zero[t] & zero[f] == zero[t] for f in kept):
-            kept.append(t)
-    return kept
+    return _maximal(zero, (1 << len(rays)) - 1)
 
 
 def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:

@@ -18,11 +18,16 @@ parent's two representations: the generators it contains and the
 inequalities active on it.  Its own cone is built only when read, and then
 held by the face.  The normal face F -> C° ∩ lin(F)^perp swaps the two
 index sets, as `polar` swaps the two representations, because the polar's
-generators are the parent's inequalities in order.  Conversion between the
-representations is the double description `exactlin._dd`.  Rational input
-is parsed once, by the constructors; the JSON wire format writes the
-equalities and the lineality as their ``Fraction`` RREF
-(`Subspace.rref`), so files are the same whatever the stored scale.
+generators are the parent's inequalities in order.
+
+A cone is built from one double description, `exactlin._dd`, and
+incidence: input rows tight on every extreme ray are equalities, and the
+others with maximal zero sets on the rays are facets (`exactlin._maximal`,
+as for chambers); on the polar, the same rule finds the extreme rays.  A
+face cone runs no DD.  Rational input is parsed once, by the constructors;
+the JSON wire format writes the equalities and the lineality as their
+``Fraction`` RREF (`Subspace.rref`), so files are the same whatever the
+stored scale.
 
 Strict feasibility, `exactlin.lp_strictly_feasible`, runs on the same
 double description.  `transverse` asks it whether relint(F) ∩ relint(G) is
@@ -43,6 +48,7 @@ from .exactlin import (
     _dd,
     _echelon,
     _int_rows,
+    _maximal,
     _span,
     dot,
     lp_strictly_feasible,
@@ -113,8 +119,10 @@ class Face:
 
     @cached_property
     def cone(self) -> Cone:
+        # F's extreme rays are the parent's generators in it
         p = self.parent
-        return _from_vrep(_masked(p.generators, self.gen_mask), p.lineality, p.d)
+        return _from_incidence(p.inequalities, p.equalities,
+                               _masked(p.generators, self.gen_mask), p.lineality, p.d)
 
 
 @dataclass(frozen=True)
@@ -144,37 +152,46 @@ def _masked(rows: Mat, mask: int) -> Mat:
     return tuple(r for i, r in enumerate(rows) if mask >> i & 1)
 
 
-def _from_vrep(rays, lin: Subspace, d: int) -> Cone:
-    gens = _canon_rays(rays, lin.echelon)
-    prays, plin = _dd(gens, lin.basis, d)
-    return Cone(d=d, inequalities=prays, equalities=plin.basis, generators=gens,
-                lineality=lin)
+def _zero_sets(rows, rays) -> list[int]:
+    """Per row, the bitmask of the rays it is tight on."""
+    return [sum(1 << k for k, r in enumerate(rays) if not dot(a, r)) for a in rows]
+
+
+def _from_incidence(rows, eqs, rays: Mat, lin: Subspace, d: int) -> Cone:
+    """C = lin + cone(rays), rays its canonical extreme rays, where C is
+    {x : rows.x <= 0, eqs.x = 0} with the rows tight on every ray made
+    equalities; those rows and eqs span span(C)^perp, and `_maximal` picks
+    the facets among the other rows."""
+    full = (1 << len(rays)) - 1
+    zero = _zero_sets(rows, rays)
+    perp = _echelon([*eqs, *(a for a, z in zip(rows, zero) if z == full)])
+    return Cone(d=d, inequalities=_canon_rays([rows[t] for t in _maximal(zero, full)], perp),
+                equalities=tuple(row for _, row in perp), generators=rays, lineality=lin)
 
 
 def cone_from_inequalities(normals, d: int, equalities=()) -> Cone:
-    """Cone {x : <a, x> <= 0 for all a} via double description."""
+    """Cone {x : <a, x> <= 0 for all a}: one double description, facets
+    read from incidence."""
     normals = _int_rows(normals, d, "normal")
     eqs = _int_rows(equalities, d, "equality")
     if not all(map(any, normals)):
         raise ValueError("zero normal encodes no constraint")
-    rays, lin = _dd(normals, eqs, d)
-    return _from_vrep(rays, lin, d)
+    return _from_incidence(normals, eqs, *_dd(normals, eqs, d), d)
 
 
 def cone_from_generators(rays, lineality=(), d: int | None = None) -> Cone:
-    """Cone generated by rays plus a lineality space; H-rep via the polar."""
+    """Cone generated by rays plus a lineality space: one double description
+    of the polar, whose facets, read from incidence, are C's extreme rays."""
     if d is None:
         raise ValueError("ambient dimension d is required")
     rays = _int_rows(rays, d, "vector")
     lin_rows = _int_rows(lineality, d, "vector")
-    prays, plin = _dd(rays, lin_rows, d)  # V-rep of the polar cone
-    rrays, rlin = _dd(prays, plin.basis, d)  # back to C = (C°)°
-    return Cone(d=d, inequalities=prays, equalities=plin.basis, generators=rrays,
-                lineality=rlin)
+    return polar(_from_incidence(rays, lin_rows, *_dd(rays, lin_rows, d), d))
 
 
 def subspace_cone(s: Subspace) -> Cone:
-    return _from_vrep((), s, s.dim_ambient)
+    return Cone(d=s.dim_ambient, inequalities=(), equalities=orthogonal_complement(s).basis,
+                generators=(), lineality=s)
 
 
 def polar(c: Cone) -> Cone:
@@ -204,15 +221,8 @@ def face_lattice(c: Cone) -> FaceLattice:
 
 def _build_face_lattice(c: Cone) -> FaceLattice:
     gens = c.generators
-    n = len(gens)
-    facet_masks = []
-    for a in c.inequalities:
-        mask = 0
-        for i, r in enumerate(gens):
-            if not dot(a, r):
-                mask |= 1 << i
-        facet_masks.append(mask)
-    full = (1 << n) - 1
+    facet_masks = _zero_sets(c.inequalities, gens)
+    full = (1 << len(gens)) - 1
     masks = {full}
     frontier = [full]
     while frontier:
@@ -261,19 +271,16 @@ def canonical_decomposition(c: Cone) -> tuple[Subspace, Cone]:
     if lin.dim == 0:
         return lin, c
     # C/L is C ∩ L^perp: the same inequalities, with lin(C) cut out
-    rays, plin = _dd(c.inequalities, c.equalities + lin.basis, c.d)
-    return lin, _from_vrep(rays, plin, c.d)
+    eqs = c.equalities + lin.basis
+    return lin, _from_incidence(c.inequalities, eqs, *_dd(c.inequalities, eqs, c.d), c.d)
 
 
 def intersect(c: Cone, other: Cone) -> Cone:
     if c.d != other.d:
         raise ValueError("ambient dimensions differ")
-    rays, lin = _dd(
-        c.inequalities + other.inequalities,
-        c.equalities + other.equalities,
-        c.d,
-    )
-    return _from_vrep(rays, lin, c.d)
+    rows = c.inequalities + other.inequalities
+    eqs = c.equalities + other.equalities
+    return _from_incidence(rows, eqs, *_dd(rows, eqs, c.d), c.d)
 
 
 def minkowski_sum(c: Cone, other: Cone) -> Cone:

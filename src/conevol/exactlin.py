@@ -26,13 +26,15 @@ on the hyperplane, so chamber enumeration computes it once for all
 chambers.  `_dd_step` then partitions the rays into +/0/− by sign and joins
 adjacent +/− pairs, where the combinatorial adjacency test is applied
 modulo the current lineality space, which keeps the working cone pointed in
-the quotient.  `_dd_step` returns both closed halves of the cut; conversion
-keeps the <= 0 half, and chamber enumeration in `arrangement` keeps every
-half that is not flat on the hyperplane.  Invariant: every integer vector
-is a positive multiple of the rational vector the same algorithm would hold
-over ``Fraction``, and every lineality row a positive multiple of its RREF
-row.  Signs, zero sets, adjacency decisions and primitive representatives
-are therefore unchanged, and so is every ray order and every output.
+the quotient; a pair sharing fewer than (pointed dimension − 2) tight rows
+cannot span a 2-face and is skipped before that test.  `_dd_step` returns
+both closed halves of the cut; conversion keeps the <= 0 half, and chamber
+enumeration in `arrangement` keeps every half that is not flat on the
+hyperplane.  Invariant: every integer vector is a positive multiple of the
+rational vector the same algorithm would hold over ``Fraction``, and every
+lineality row a positive multiple of its RREF row.  Signs, zero sets,
+adjacency decisions and primitive representatives are therefore unchanged,
+and so is every ray order and every output.
 
 `lp_strictly_feasible` decides whether rows a_i admit an x with every
 <a_i, x> > 0 by the same double description, so one exact engine answers
@@ -237,10 +239,6 @@ def full_space(dim: int) -> Subspace:
     return Subspace(dim, tuple(row for _, row in _unit_echelon(dim)))
 
 
-def zero_subspace(dim: int) -> Subspace:
-    return Subspace(dim, ())
-
-
 def kernel(rows: Iterable[Sequence], dim: int) -> Subspace:
     """The subspace {x : rows . x = 0} in R^dim."""
     return _kernel(_echelon(_int_rows(rows, dim)), dim)
@@ -280,14 +278,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 
 def _canon_rays(rays, lin: Echelon) -> Mat:
-    out = []
-    seen = set()
-    for r in rays:
-        rr = _prim(_ireduce(r, lin))
-        if any(rr) and rr not in seen:
-            seen.add(rr)
-            out.append(rr)
-    return tuple(sorted(out))
+    """The distinct nonzero rays reduced modulo lin, primitive and sorted."""
+    return tuple(sorted({v for v in (_prim(_ireduce(r, lin)) for r in rays) if any(v)}))
 
 
 def _onto(r: Sequence[int], u: Sequence[int], s0: int, a: Vec) -> Sequence[int]:
@@ -347,15 +339,13 @@ def _dd_step(rays, lin: Echelon, cut, a: Vec, t: int):
             zero.append((r, z | bit))
     # a new ray lies on the hyperplane: it can only repeat a zero or new ray
     seen = {r for r, _ in zero}
+    # adjacent rays share at least (pointed dimension - 2) tight rows
+    need = len(rays[0][0]) - len(lin) - 2 if rays else 0
     for ip, rp, zp, sp in plus:
-        for im, rm, zm, sm in minus:
+        for im, rm, zm, sm in [q for q in minus if (zp & q[2]).bit_count() >= need]:
             common = zp & zm
-            adjacent = True
-            for i3, (_, z3) in enumerate(rays):
-                if i3 != ip and i3 != im and common & z3 == common:
-                    adjacent = False
-                    break
-            if adjacent:
+            if all(common & z3 != common or i3 == ip or i3 == im
+                   for i3, (_, z3) in enumerate(rays)):
                 w = _prim([sp * x - sm * y for x, y in zip(rm, rp)])
                 if w not in seen:
                     seen.add(w)
@@ -366,6 +356,17 @@ def _dd_step(rays, lin: Echelon, cut, a: Vec, t: int):
     )
 
 
+def _maximal(masks: Sequence[int], full: int) -> list[int]:
+    """Indices of the inclusion-maximal masks other than full, one per
+    distinct mask: with the zero sets of rows on a cone's extreme rays, and
+    full the set of all the rays, the rows that cut out facets."""
+    kept: list[int] = []
+    for t in sorted(range(len(masks)), key=lambda t: -masks[t].bit_count()):
+        if masks[t] != full and not any(masks[t] & masks[f] == masks[t] for f in kept):
+            kept.append(t)
+    return kept
+
+
 def _unit_echelon(m: int) -> Echelon:
     return [(i, tuple(int(j == i) for j in range(m))) for i in range(m)]
 
@@ -374,25 +375,19 @@ def _dd(ineqs, eq_rows, d: int) -> tuple[Mat, Subspace]:
     """Double description: V-representation of {x : ineqs.x <= 0, eq_rows.x = 0}
     for integer rows.
 
-    Returns (extreme rays, lineality subspace), both canonicalized.  The
-    cone is converted in the coordinates of the integer echelon of
+    Returns (extreme rays, lineality subspace), both canonicalized; facets
+    and implicit equalities follow from incidence, with no conversion back.
+    The cone is converted in the coordinates of the integer echelon of
     {eq_rows.x = 0}; a coordinate that changes by a positive factor changes
     no sign, zero set or direction, so the result does not depend on the
     scale of that basis.
     """
-    amb = _kernel(_echelon(eq_rows), d)
-    if amb.dim == 0:
-        return (), zero_subspace(d)
-    basis = amb.basis
-    cons = []
-    seen = set()
-    for a in ineqs:
-        ap = _prim([dot(row, a) for row in basis])
-        if any(ap) and ap not in seen:
-            seen.add(ap)
-            cons.append(ap)
+    basis = _kernel(_echelon(eq_rows), d).basis
+    # the distinct nonzero constraints in basis coordinates, in input order
+    cons = [c for c in dict.fromkeys(_prim([dot(row, a) for row in basis]) for a in ineqs)
+            if any(c)]
 
-    lin = _unit_echelon(amb.dim)
+    lin = _unit_echelon(len(basis))
     rays: list[tuple[Vec, int]] = []
     for t, a in enumerate(cons):
         lin, cut = _lin_cut(lin, a)

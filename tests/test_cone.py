@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from conevol.cone import (
     Cone,
     Face,
     InvariantViolation,
-    _from_vrep,
     canonical_decomposition,
     cone_from_generators,
     cone_from_inequalities,
@@ -45,6 +46,7 @@ from conevol.volumes import tangent_cone
 ORTHANT2 = cone_from_inequalities([[-1, 0], [0, -1]], 2)
 ORTHANT3 = cone_from_inequalities([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], 3)
 SQUARE = cone_from_generators([[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1]], [], 3)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def brute_force_square_cone_faces():
@@ -331,8 +333,8 @@ def test_transverse_builds_no_face_cone(monkeypatch):
     # every face pair of every catalog cone pair of equal d: transverse reads
     # the parents' rows only, and its verdict is the face-cone route's
     calls = []
-    real = cone_module._from_vrep
-    monkeypatch.setattr(cone_module, "_from_vrep", lambda *a: calls.append(a) or real(*a))
+    real = cone_module._from_incidence
+    monkeypatch.setattr(cone_module, "_from_incidence", lambda *a: calls.append(a) or real(*a))
     cones = build_cones()
     transverse_pairs = 0
     for (na, a), (nb, b) in itertools.combinations_with_replacement(cones, 2):
@@ -390,12 +392,21 @@ def test_catalog_fields_are_int_rows():
 
 @st.composite
 def _small_cone_inputs(draw):
-    d = draw(st.integers(min_value=1, max_value=4))
+    # drawn rows, then negated, scaled and summed copies of earlier ones, so
+    # the incidence rule meets implicit equalities, parallel and redundant rows
+    d = draw(st.integers(min_value=1, max_value=5))
     row = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
-    return d, draw(st.lists(row.filter(any), max_size=6)), draw(st.lists(row, max_size=1))
+    rows = draw(st.lists(row.filter(any), max_size=d + 2))
+    for _ in range(draw(st.integers(min_value=0, max_value=d if rows else 0))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(st.sampled_from((-1, 2, 3)))
+        new = draw(st.sampled_from(([k * x for x in a], [x + y for x, y in zip(a, b)])))
+        if any(new):
+            rows.append(new)
+    return d, rows, draw(st.lists(row, max_size=1))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(_small_cone_inputs())
 def test_constructors_match_rational_oracle(case):
     # the second list serves as equalities of the H-representation and as
@@ -436,7 +447,7 @@ def _check_index_set_faces(c, fl):
     faces = fl.faces
     assert list(faces) == sorted(faces, key=lambda f: (f.dim, f.cone.generators))
     for fi, f in enumerate(faces):
-        assert f.cone == _from_vrep(_selected(c, f.gen_mask), c.lineality, c.d)
+        assert f.cone == cone_from_generators(_selected(c, f.gen_mask), c.lineality.basis, c.d)
         nf, ref = normal_face(c, f), _scan_normal_face(c, f)
         assert nf == ref and nf.cone == ref.cone
         sub = face_lattice(f.cone)
@@ -453,13 +464,46 @@ def _check_index_set_faces(c, fl):
 
 def test_face_lattice_builds_no_face_cone(monkeypatch):
     calls = []
-    real = cone_module._from_vrep
-    monkeypatch.setattr(cone_module, "_from_vrep", lambda *a: calls.append(a) or real(*a))
+    real = cone_module._from_incidence
+    monkeypatch.setattr(cone_module, "_from_incidence", lambda *a: calls.append(a) or real(*a))
     for name, c in build_cones():
         calls.clear()
         fl = face_lattice(c)
         assert calls == [], name
         assert fl.faces[-1].cone == c and len(calls) == 1, name
+
+
+def test_one_double_description_per_cone(monkeypatch):
+    # facets and extreme rays are read from incidence, so a constructor runs
+    # one DD and a face cone none
+    calls = []
+    real = cone_module._dd
+    monkeypatch.setattr(cone_module, "_dd", lambda *a: calls.append(a) or real(*a))
+
+    def runs(build):
+        calls.clear()
+        built = build()
+        return len(calls), built
+
+    n, half = runs(lambda: cone_from_inequalities([[0, -1, 0]], 3))
+    assert n == 1 and half.lineality_dim == 2
+    n, c = runs(lambda: cone_from_generators(SQUARE.generators, [], 3))
+    assert n == 1 and c == SQUARE
+    for build in (lambda: intersect(SQUARE, half), lambda: minkowski_sum(SQUARE, half),
+                  lambda: canonical_decomposition(half), lambda: product(ORTHANT2, SQUARE)):
+        assert runs(build)[0] == 1
+    for k in (SQUARE, half, minkowski_sum(SQUARE, half)):
+        fresh = cone_from_inequalities(k.inequalities, 3, k.equalities)
+        faces = face_lattice(fresh).faces
+        assert runs(lambda: [f.cone for f in faces])[0] == 0
+
+
+def test_large_cone_round_trips():
+    # 16 facets and 226 extreme rays in R^8: each direction is one DD
+    c = cone_from_json(json.loads((FIXTURES / "cone-8d-16.json").read_text()))
+    assert (len(c.inequalities), len(c.generators), c.dim) == (16, 226, 8)
+    assert cone_from_generators(c.generators, (), 8) == c
+    assert cone_from_inequalities(c.inequalities, 8, c.equalities) == c
 
 
 def test_face_lattice_is_built_once_per_cone():
