@@ -11,12 +11,13 @@ and the residual in the normal face — by one matmul per bounded chunk of
 rows, which identifies the metric projection onto the cone and the face
 dimension to tally.  A cone that splits into coordinate blocks, C = C_1 x
 ... x C_k, has its faces and Moreau projection split the same way, so it
-may instead be compiled as one kernel per block, each classifying the
-draw's own columns, with an exact table from tuples of block faces to the
-cone's faces: its cost is the sum of the blocks' face counts, not their
-product.  A cost rule picks that path when the blocks' margin rows, plus a
-fixed cost per block, are fewer than the whole kernel's; either path
-accepts the same draws, with the same faces and |P g|^2.  Kernels are
+may instead be compiled as one kernel per block, each locating the draw's
+own columns, with an exact table from tuples of block faces to the cone's
+faces: its cost is the sum of the blocks' face counts, not their product.
+A cost rule picks that path when the blocks' margin rows, plus a fixed
+cost per block, are fewer than the whole kernel's.  Either kernel only
+locates a draw; one `classify` accepts it and gathers |P g|^2 for both,
+so they accept the same draws, with the same faces and |P g|^2.  Kernels are
 cached weakly per cone: equal cones share one kernel, and it is dropped
 with the cone that keys it.  Estimators are deterministic for a fixed
 (seed, workers): sample counts are partitioned across worker substreams
@@ -188,12 +189,8 @@ class ProjectionKernel:
 
     def __init__(self, c: Cone, basis: np.ndarray | None = None):
         lattice = face_lattice(c)
-        self._basis = basis
-        # normals whose squared norm the sampler adds to |P h|^2: lin(C)'s
-        # share of a draw, which the basis leaves out
-        self._lin_draws = 0 if basis is None else c.lineality_dim
-        self.d = d = c.d if basis is None else basis.shape[1]
-        self.face_dims, self.bases, self.projectors, self._spans = _face_spans(lattice, basis)
+        self._frame(c, lattice, basis)
+        d = self.d
         gens_unit = _in_basis(_unit_rows(c.generators, c.d), basis)
         facets_unit = _in_basis(_unit_rows(c.inequalities, c.d), basis)
         blocks = []  # per-face W_j^T, shape (columns, d)
@@ -213,6 +210,15 @@ class ProjectionKernel:
         self._slots = m
         self._chunk = max(1, _CHUNK_FLOATS // (m * nf))
 
+    def _frame(self, c: Cone, lattice, basis: np.ndarray | None):
+        """The draw basis, its dimension and the face spans in it."""
+        self._basis = basis
+        # normals whose squared norm the sampler adds to |P h|^2: lin(C)'s
+        # share of a draw, which the basis leaves out
+        self._lin_draws = 0 if basis is None else c.lineality_dim
+        self.d = c.d if basis is None else basis.shape[1]
+        self.face_dims, self.bases, self.projectors, self._spans = _face_spans(lattice, basis)
+
     def classify(self, g: np.ndarray, pnorm2: bool = True):
         """Locate each row of g in the facial decomposition.
 
@@ -223,37 +229,33 @@ class ProjectionKernel:
         computed only when pnorm2 is true; otherwise that slot is None.
         The returned arrays are fresh and never alias the workspace.
         """
-        best, pn2, m1, m2 = self._locate(g, pnorm2)
+        best, m1, m2 = self._locate(g)
+        pn2 = _pnorm2(g, self.projectors, best) if pnorm2 else None
         return best, pn2, _accept(g, m1, m2), (m1, m2)
 
-    def _locate(self, g: np.ndarray, pnorm2: bool = False):
-        """`classify` without the acceptance: (face_index, pnorm2, m1, m2)."""
+    def _locate(self, g: np.ndarray):
+        """(face_index, m1, m2) per row of g: `classify` without acceptance or |P g|^2."""
         b = g.shape[0]
         nf = len(self.bases)
         ms = self._slots * nf
         best = np.empty(b, dtype=np.intp)
         m1 = np.empty(b)  # m1 and m2 hold minus the margins until the loop ends
         m2 = np.empty(b)
-        pn2 = np.empty(b) if pnorm2 else None
         rows = min(self._chunk, b)
         buf = _scratch((ms + nf + 1) * rows)
         for lo in range(0, b, self._chunk):
             hi = min(lo + self._chunk, b)
             r = hi - lo
-            gc = g[lo:hi]
             s = buf[:ms * r].reshape(ms, r)
-            np.matmul(self._w, gc.T, out=s)
+            np.matmul(self._w, g[lo:hi].T, out=s)
             s[self._pad] = -np.inf
             # worst constraint per face: minus the face's margin
             t = buf[ms * r:(ms + nf) * r].reshape(nf, r)
             np.max(s.reshape(self._slots, nf, r), axis=0, out=t)
-            k = best[lo:hi]
-            _select(t, k, m1[lo:hi], m2[lo:hi], buf[(ms + nf) * r:(ms + nf + 1) * r])
-            if pnorm2:
-                pn2[lo:hi] = _pnorm2(gc, self.projectors[k])
+            _select(t, best[lo:hi], m1[lo:hi], m2[lo:hi], buf[(ms + nf) * r:(ms + nf + 1) * r])
         np.negative(m1, out=m1)
         np.negative(m2, out=m2)
-        return best, pn2, m1, m2
+        return best, m1, m2
 
 
 def _select(t, best, lo1, lo2, tmp):
@@ -327,32 +329,42 @@ def _accept(g, m1, m2):
     return ok
 
 
-def _pnorm2(g, projectors):
-    """|P_r g_r|^2 per row r, with P_r = projectors[r]."""
-    return np.einsum("rj,rj->r", np.einsum("ri,rij->rj", g, projectors), g)
+def _pnorm2(g, projectors, best):
+    """|P_r g_r|^2 per row r, with P_r = projectors[best[r]].  Each chunk of
+    rows gathers _CHUNK_FLOATS / 8 floats of projectors, so memory stays
+    flat whatever the batch; a row's bits do not depend on its chunk."""
+    b, k = g.shape
+    rows = max(1, _CHUNK_FLOATS // (8 * max(k, 1) ** 2))
+    out = np.empty(b)
+    for lo in range(0, b, rows):
+        gc = g[lo:lo + rows]
+        pg = np.einsum("ri,rij->rj", gc, projectors[best[lo:lo + rows]])
+        out[lo:lo + rows] = np.einsum("rj,rj->r", pg, gc)
+    return out
 
 
-class ProductKernel:
+class ProductKernel(ProjectionKernel):
     """Projection kernel of a coordinate product C = C_1 x ... x C_k, one
     `ProjectionKernel` per factor, with the face spans of the whole cone.
 
     The faces of C are the products F_1 x ... x F_k of faces of the
     factors, and the Moreau projection splits factor by factor, so a draw
-    is classified on each factor's own columns.  The margin of a product
+    is located on each factor's own columns.  The margin of a product
     face is the least of its factors' margins, so the best face is the
     tuple of each factor's best face, with margin m1 = min_i m1_i.  The
     second best differs from it in some factor j, so its margin is at
     most min(m2_j, m1), attained with every other factor's best face; so
     m2 = min(m1, max_i m2_i).  A mixed-radix table, built
     exactly from generator masks, maps each tuple to its face of C in
-    lattice order.  Acceptance is the full kernel's rule on the whole
-    draw, and |P g|^2 the same gather of C's face projectors, so ok equals
-    the full kernel's, and so do the face and |P g|^2 of every accepted
-    draw (a rejected draw's tie may fall to another face); m1 and m2
-    differ from its only by the rounding of the factors' smaller QRs.  A
-    margin pass costs the sum of the factors' constraint rows, not their
-    product.  A factor with one face, a line or {0}, has margins +inf and
-    -inf and radix 1, so it is left out of the pass.
+    lattice order.  Only `_locate` is the product's own: acceptance and
+    |P g|^2 come from the shared `classify`, on the whole draw and from
+    C's face projectors, so ok equals the full kernel's, and so do the
+    face and |P g|^2 of every accepted draw (a rejected draw's tie may
+    fall to another face); m1 and m2 differ from its only by the
+    rounding of the factors' smaller QRs.  A margin pass costs the sum of
+    the factors' constraint rows, not their product.  A factor with one
+    face, a line or {0}, has margins +inf and -inf and radix 1, so it is
+    left out of the pass.
 
     Each factor kernel works in its own basis, so the product draws in the
     factors' bases side by side: a basis of span(C) ∩ lin(C)^⊥ in which
@@ -367,17 +379,15 @@ class ProductKernel:
         self._factors = [(np.array(cols), _kernel_for(f)) for cols, f in zip(blocks, factors)]
         # per factor of the pass: its columns of a draw and its kernel
         self._reads = [(cols, k) for cols, k in self._factors if len(k.face_dims) > 1]
-        self._basis = None
+        basis = None
         if any(k._basis is not None for _, k in self._factors):
-            self._basis = np.zeros((c.d, sum(k.d for _, k in self._reads)))
+            basis = np.zeros((c.d, sum(k.d for _, k in self._reads)))
             at = 0
             for j, (cols, k) in enumerate(self._reads):
-                self._basis[cols, at:at + k.d] = np.eye(k.d) if k._basis is None else k._basis
+                basis[cols, at:at + k.d] = np.eye(k.d) if k._basis is None else k._basis
                 self._reads[j] = (slice(at, at + k.d), k)
                 at += k.d
-        self._lin_draws = 0 if self._basis is None else c.lineality_dim
-        self.d = d = c.d if self._basis is None else self._basis.shape[1]
-        self.face_dims, self.bases, self.projectors, self._spans = _face_spans(lattice, self._basis)
+        self._frame(c, lattice, basis)
         index = {f.gen_mask: j for j, f in enumerate(lattice.faces)}
         masks = [0]  # generator mask of C's face, per mixed-radix code
         for cols, factor in zip(blocks, factors):
@@ -390,31 +400,21 @@ class ProductKernel:
                      for face in face_lattice(factor).faces]
             masks = [m | b for m in masks for b in block]
         self._table = np.array([index[m] for m in masks], dtype=np.intp)
-        # rows per |P g|^2 chunk: its projector gather holds _CHUNK_FLOATS / 8
-        # floats, so memory stays flat whatever the batch
-        self._chunk = max(1, _CHUNK_FLOATS // (8 * max(d, 1) ** 2))
 
-    def classify(self, g: np.ndarray, pnorm2: bool = True):
-        """`ProjectionKernel.classify`, factor by factor."""
+    def _locate(self, g: np.ndarray):
+        """`ProjectionKernel._locate`, factor by factor."""
         b = g.shape[0]
         code = np.zeros(b, dtype=np.intp)
         m1 = np.full(b, np.inf)
         m2 = np.full(b, -np.inf)
         for cols, kern in self._reads:
-            k, _, a1, a2 = kern._locate(g[:, cols])
+            k, a1, a2 = kern._locate(g[:, cols])
             code *= len(kern.face_dims)
             code += k
             np.minimum(m1, a1, out=m1)
             np.maximum(m2, a2, out=m2)
         np.minimum(m2, m1, out=m2)
-        best = self._table[code]
-        pn2 = None
-        if pnorm2:
-            pn2 = np.empty(b)
-            for lo in range(0, b, self._chunk):
-                hi = min(lo + self._chunk, b)
-                pn2[lo:hi] = _pnorm2(g[lo:hi], self.projectors[best[lo:hi]])
-        return best, pn2, _accept(g, m1, m2), (m1, m2)
+        return self._table[code], m1, m2
 
 
 def _unit_rows(rows, d: int) -> np.ndarray:
@@ -515,14 +515,14 @@ def _classify_points(c: Cone, x: np.ndarray):
 _kernel_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _kernel_for(c: Cone) -> ProjectionKernel | ProductKernel:
+def _kernel_for(c: Cone) -> ProjectionKernel:
     kern = _kernel_cache.get(c)
     if kern is None:
         kern = _kernel_cache[c] = _compile(c)
     return kern
 
 
-def _compile(c: Cone) -> ProjectionKernel | ProductKernel:
+def _compile(c: Cone) -> ProjectionKernel:
     """The cheaper kernel for c, in c's own basis: a `ProductKernel` when c
     has at least two coordinate blocks with more than one face whose margin
     rows, plus _BLOCK_CALL_ROWS for each block's call, are fewer than the
@@ -540,8 +540,7 @@ def _compile(c: Cone) -> ProjectionKernel | ProductKernel:
 _BATCH = 16384
 
 
-def _sample_faces(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, stream: int,
-                  pnorm2: bool):
+def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2: bool):
     """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws;
     pnorm2 is None unless asked for.
 
@@ -615,8 +614,7 @@ def estimate_functionals(c: Cone, cfg: SampleConfig, funcs):
     return _functional_stats(_kernel_for(c), cfg, funcs, stream=0)
 
 
-def _functional_stats(kern: ProjectionKernel | ProductKernel, cfg: SampleConfig, funcs,
-                      stream: int):
+def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: int):
     """The one loop from draws to functionals: {name: (mean, SE)} of each
     fn(face_dim, |p|^2) over cfg.n_samples draws of substream `stream`, the
     SE floored at 1/n."""

@@ -868,6 +868,55 @@ def test_moreau_decomposition_on_the_product_path(name):
 
 
 # ---------------------------------------------------------------------------
+# One classify for every kernel
+
+
+def test_product_kernel_supplies_only_a_locator():
+    assert "classify" not in vars(ProductKernel)
+    assert {k for k, v in vars(ProductKernel).items() if callable(v)} == {"__init__", "_locate"}
+
+
+@pytest.mark.parametrize("name", sorted(_ON_BLOCKS))
+def test_product_classify_is_one_classify_and_one_locate_per_drawn_block(name, monkeypatch):
+    kern = volumes._kernel_for(_ON_BLOCKS[name])
+    calls = {"classify": [], "_locate": []}
+
+    def counted(attr):
+        original = getattr(ProjectionKernel, attr)
+
+        def wrapper(self, *args, **kwargs):
+            calls[attr].append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProjectionKernel, attr, wrapper)
+
+    counted("classify")
+    counted("_locate")
+    g = np.random.default_rng(3).standard_normal((100, kern.d))
+    for pnorm2 in (True, False):
+        calls["classify"].clear()
+        calls["_locate"].clear()
+        kern.classify(g, pnorm2)
+        # blocks are located, never classified; the product's own `_locate`
+        # overrides the counted one, so only the drawn blocks' calls count
+        assert calls["classify"] == [kern]
+        assert calls["_locate"] == [k for _, k in kern._reads]
+
+
+@pytest.mark.parametrize("name", ["cross-cone-4d", "orthant-6d"])
+def test_pnorm2_bits_do_not_depend_on_the_gather_chunk(name):
+    # three gather chunks and a remainder, row for row against one-row gathers
+    kern = volumes._kernel_for(CATALOG[name])
+    assert isinstance(kern, ProductKernel) == (name == "orthant-6d")
+    rows = volumes._CHUNK_FLOATS // (8 * kern.d ** 2)
+    g = np.random.default_rng(9).standard_normal((3 * rows + 5, kern.d))
+    idx, pn2, _, _ = kern.classify(g)
+    one = np.concatenate([volumes._pnorm2(g[r:r + 1], kern.projectors, idx[r:r + 1])
+                          for r in range(len(g))])
+    assert np.array_equal(_bits(pn2), _bits(one))
+
+
+# ---------------------------------------------------------------------------
 # Draws in each cone's own basis
 
 
