@@ -9,8 +9,9 @@ echelon gives the flat's subspace, itself an integer echelon.  Flats are
 sorted by their RREF (`Subspace.rref`), not by the echelon, which orders
 some flats with fractional RREF entries differently; a flat's coordinates,
 for restrictions and regions, are its RREF rows scaled by one common
-integer.  The Möbius function follows by the standard recursion;
-characteristic polynomials carry exact integer coefficients.  An
+integer.  Flats are ordered by their defining sets as bitsets
+(`exactlin._up_sets`), and the Möbius recursion takes y in index order,
+bottom-up; characteristic polynomials carry exact integer coefficients.  An
 arrangement builds its lattice once and holds it, with no reference back;
 the level polynomials chi_{A,0..d} come from one pass over the Möbius
 table.  Chambers are
@@ -39,6 +40,7 @@ from .exactlin import (
     Mat,
     Subspace,
     Vec,
+    _bits,
     _common_scale,
     _dd_step,
     _echelon,
@@ -49,7 +51,9 @@ from .exactlin import (
     _lin_cut,
     _maximal,
     _prim,
+    _transpose,
     _unit_echelon,
+    _up_sets,
     dot,
     full_space,
 )
@@ -235,29 +239,19 @@ class IntersectionLattice:
             key=lambda f: (-f.dim, f.subspace.rref),
         )
         self.flats: tuple[Flat, ...] = tuple(flats)
-        n = len(flats)
         # a flat is the intersection of the hyperplanes containing it, so
         # flat_y lies in flat_x iff every hyperplane defining x defines y
-        self._below = []  # _below[x] = bitmask of y with flat_y subseteq flat_x
-        for fx in flats:
-            bits = 0
-            for y, fy in enumerate(flats):
-                if fx.defining_set <= fy.defining_set:
-                    bits |= 1 << y
-            self._below.append(bits)
+        self._below = _up_sets([sum(1 << i for i in f.defining_set) for f in flats],
+                               len(normals))  # _below[x]: the y with flat_y in flat_x
+        above = _transpose(self._below, len(flats))  # above[y]: the x with flat_y in flat_x
+        # flats run by decreasing dimension, so index order is bottom-up:
+        # mu(x, z) is known for every z strictly between x and y
         self.mobius: dict[tuple[int, int], int] = {}
-        for x in range(n):
-            self.mobius[(x, x)] = 1
-            order = sorted(
-                (y for y in range(n) if y != x and self._below[x] >> y & 1),
-                key=lambda y: -self.flats[y].dim,
-            )
-            for y in order:
-                s = 0
-                for z in [x] + order:
-                    if z != y and self._below[z] >> y & 1:
-                        s += self.mobius.get((x, z), 0)
-                self.mobius[(x, y)] = -s
+        for x, below in enumerate(self._below):
+            mu = {x: 1}
+            for y in _bits(below ^ (1 << x)):
+                mu[y] = -sum(mu[z] for z in _bits((below & above[y]) ^ (1 << y)))
+            self.mobius.update(((x, y), m) for y, m in mu.items())
 
     def leq(self, x: int, y: int) -> bool:
         """x precedes y in the reverse-inclusion order (flat_y inside flat_x)."""
@@ -415,13 +409,7 @@ def _facets(rays, n: int) -> list[int]:
     Every face of a chamber is cut out by the hyperplanes it lies on, and a
     facet spans its hyperplane, so no two hyperplanes share a facet.
     """
-    zero = [0] * n
-    for k, (_, z) in enumerate(rays):
-        while z:
-            low = z & -z
-            zero[low.bit_length() - 1] |= 1 << k
-            z ^= low
-    return _maximal(zero, (1 << len(rays)) - 1)
+    return _maximal(_transpose([z for _, z in rays], n), (1 << len(rays)) - 1)
 
 
 def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
@@ -543,6 +531,7 @@ def stirling2_signed(d: int, j: int) -> int:
 
 
 _FAMILIES = ("braid", "bc", "d", "generic")
+_GENERIC_DRAWS = 1000  # the seeds of the tests, catalog and benchmark need at most 9
 
 
 def named_family(family: str, d: int, n: int | None = None, seed: int = 0) -> Arrangement:
@@ -551,7 +540,7 @@ def named_family(family: str, d: int, n: int | None = None, seed: int = 0) -> Ar
     braid: x_i = x_j; bc: x_i = ±x_j and x_i = 0; d: x_i = ±x_j;
     generic: n random rational hyperplanes redrawn until every subset of at
     most d normals is linearly independent (genericity is verified, not
-    assumed).
+    assumed); ValueError if none of `_GENERIC_DRAWS` draws is generic.
     """
     family = family.lower()
     if family not in _FAMILIES:
@@ -577,14 +566,17 @@ def named_family(family: str, d: int, n: int | None = None, seed: int = 0) -> Ar
         raise ValueError("generic family requires n")
     if n < d:
         raise ValueError("generic family requires n >= d")
+    if d == 1 and n > 1:
+        raise ValueError("R^1 has only one hyperplane through the origin")
     rng = random.Random(seed)
-    while True:
+    for _ in range(_GENERIC_DRAWS):
         rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(n)]
         if any(not any(r) for r in rows):
             continue
         arr = arrangement(rows, d)
         if len(arr.normals) == n and is_generic(arr):
             return arr
+    raise ValueError(f"no generic draw of {n} hyperplanes in R^{d} in {_GENERIC_DRAWS} tries")
 
 
 def is_generic(a: Arrangement) -> bool:

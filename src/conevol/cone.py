@@ -50,6 +50,7 @@ from .exactlin import (
     _int_rows,
     _maximal,
     _span,
+    _up_sets,
     dot,
     lp_strictly_feasible,
     orthogonal_complement,
@@ -213,8 +214,9 @@ def face_lattice(c: Cone) -> FaceLattice:
     span of those generators plus the lineality space; no face cone is
     built.  Faces sort by (dim, selected generators), which are the face
     cone's canonical generators, so the interval below a face, in this
-    order, is the face's own lattice.  A cone builds its lattice once and
-    holds it, with the face cones read from it.
+    order, is the face's own lattice.  The order is read off the generator
+    masks as bitsets (`exactlin._up_sets`).  A cone builds its lattice once
+    and holds it, with the face cones read from it.
     """
     return c._face_lattice
 
@@ -244,13 +246,7 @@ def _build_face_lattice(c: Cone) -> FaceLattice:
     fvec = [0] * (c.d + 1)
     for f in faces:
         fvec[f.dim] += 1
-    leq = []
-    for f in faces:
-        bits = 0
-        for j, g in enumerate(faces):
-            if f.gen_mask & g.gen_mask == f.gen_mask:
-                bits |= 1 << j
-        leq.append(bits)
+    leq = _up_sets([f.gen_mask for f in faces], len(gens))
     return FaceLattice(c, tuple(faces), tuple(fvec), tuple(leq))
 
 

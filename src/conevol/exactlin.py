@@ -46,9 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Sequence
+from operator import and_, mul
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -365,6 +366,30 @@ def _maximal(masks: Sequence[int], full: int) -> list[int]:
         if masks[t] != full and not any(masks[t] & masks[f] == masks[t] for f in kept):
             kept.append(t)
     return kept
+
+
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of m, in increasing order."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _transpose(masks: Sequence[int], n: int) -> list[int]:
+    """For each element a < n, the bitset of the i whose masks[i] holds a."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        for a in _bits(m):
+            cols[a] |= 1 << i
+    return cols
+
+
+def _up_sets(masks: Sequence[int], n: int) -> list[int]:
+    """For each i, the bitset of the j with masks[i] ⊆ masks[j], for masks
+    over n elements: the AND of the transposed rows of masks[i]'s elements."""
+    cols, every = _transpose(masks, n), (1 << len(masks)) - 1
+    return [reduce(and_, (cols[a] for a in _bits(m)), every) for m in masks]
 
 
 def _unit_echelon(m: int) -> Echelon:

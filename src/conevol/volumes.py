@@ -643,9 +643,11 @@ def exact_iv(c: Cone) -> IVExact | None:
     """Closed-form intrinsic volumes for recognized cone classes.
 
     Recognized: linear subspaces; cones with lineality (shift of the
-    pointed part); coordinate-block products; orthants up to signed
-    permutation; planar (2-dimensional pointed) cones by arc measure; and
-    polars of recognized cones.  Returns None when unrecognized.
+    pointed part); coordinate-block products, which include every orthant
+    up to signed permutation in R^d for d >= 2; rays and planar
+    (2-dimensional pointed) cones by arc measure, provenance
+    "planar-angle", which covers the orthant ±e_1 of R^1; and polars of
+    recognized cones.  Returns None when unrecognized.
     """
     return _exact_iv(c, allow_polar=True)
 
@@ -675,10 +677,6 @@ def _exact_iv(c: Cone, allow_polar: bool) -> IVExact | None:
                 return None
             acc = _convolve(acc, sub.values)
         return IVExact(c.d, tuple(acc), "product")
-    if _is_signed_perm_orthant(c):
-        denom = Fraction(2) ** c.d
-        vals = tuple(Fraction(math.comb(c.d, k)) / denom for k in range(c.d + 1))
-        return IVExact(c.d, vals, "orthant")
     if c.dim == 1 and c.is_pointed:
         # single ray: the degenerate arc
         vals = [Fraction(0)] * (c.d + 1)
@@ -753,18 +751,6 @@ def _convolve(a, b):
                 continue
             out[i + j] = out[i + j] + x * y
     return tuple(out)
-
-
-def _is_signed_perm_orthant(c: Cone) -> bool:
-    if not c.is_pointed or c.dim != c.d or len(c.generators) != c.d:
-        return False
-    seen = set()
-    for g in c.generators:
-        support = [i for i, x in enumerate(g) if x != 0]
-        if len(support) != 1 or abs(g[support[0]]) != 1:
-            return False
-        seen.add(support[0])
-    return len(seen) == c.d
 
 
 def iv_polynomial(v) -> tuple:

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conevol.arrangement import (
@@ -313,6 +313,10 @@ def test_regions_match_reference_random(a):
 
 @settings(max_examples=60, deadline=None)
 @given(_small_arrangements())
+@example(named_family("braid", 5))
+@example(named_family("bc", 4))
+@example(named_family("d", 4))
+@example(dict(build_arrangements())["generic-3d-n5"])
 def test_lattice_matches_rational_closure_random(a):
     lat = intersection_lattice(a)
     flats, mobius = rational_lattice(a)

@@ -120,9 +120,12 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         code, out, err = run_main(capsys, verb, str(bad))
         assert code == 2 and "'d'" in err and out == "", (verb, obj, err)
     # a generic spec with an unknown key, a repeated key or a part with no '='
-    # is rejected by the key, not read as the default seed or the last value
+    # is rejected by the key, not read as the default seed or the last value;
+    # one no draw can meet is rejected, not redrawn forever: R^1 has one
+    # hyperplane, and entries in [-9, 9] give 112 lines in R^2
     for spec, key in (("generic:n=5,d=3,sed=4", "'sed'"), ("generic:n=5,d=3,n=7", "'n'"),
-                      ("generic:n=5,d=3,7", "'7'")):
+                      ("generic:n=5,d=3,7", "'7'"), ("generic:n=2,d=1", "one hyperplane"),
+                      ("generic:n=150,d=2", "no generic draw")):
         code, out, err = run_main(capsys, "arr-chi", "--family", spec)
         assert code == 2 and key in err and out == "", (spec, err)
     # steiner-mgf outside its finite-variance domain t < ln 2 / 2
@@ -158,6 +161,7 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         (["euler", pair[0], str(FIXTURES / "line2.json")], "takes 1 cone file, got 2"),
         (["kinematic", pair[0]], "takes 2 cone files, got 1"),
         (["hug-schneider", pair[0], "--n", "3", "--d", "2"], "takes 0 cone files, got 1"),
+        (["hug-schneider", "--n", "2", "--d", "1"], "one hyperplane"),
         (["zaslavsky", str(FIXTURES / "braid3.json"), str(FIXTURES / "bc2.json")],
          "at most 1 arrangement file"),
         # a t whose weights, or the squares the SE takes of them, overflow

@@ -446,6 +446,11 @@ def _check_index_set_faces(c, fl):
     against the routes that rebuild every face cone and every sub-lattice."""
     faces = fl.faces
     assert list(faces) == sorted(faces, key=lambda f: (f.dim, f.cone.generators))
+    # F <= G iff every generator of F is one of G's
+    assert list(fl.leq_masks) == [
+        sum(1 << gi for gi, g in enumerate(faces) if f.gen_mask & g.gen_mask == f.gen_mask)
+        for f in faces
+    ]
     for fi, f in enumerate(faces):
         assert f.cone == cone_from_generators(_selected(c, f.gen_mask), c.lineality.basis, c.d)
         nf, ref = normal_face(c, f), _scan_normal_face(c, f)

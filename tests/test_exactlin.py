@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
@@ -11,6 +11,8 @@ from conevol.exactlin import (
     Subspace,
     _int_vec,
     _prim,
+    _transpose,
+    _up_sets,
     dot,
     full_space,
     kernel,
@@ -233,3 +235,28 @@ def test_simplex_textbook():
     assert opt == 4
     # infeasible: x <= -1 with x >= 0
     assert oracle.simplex_max([[1]], [-1], [0]) is None
+
+
+@st.composite
+def _incidence_masks(draw):
+    """Up to 12 bitmasks over n <= 8 elements, with zero and repeated masks."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=12))
+    if masks and draw(st.booleans()):
+        masks.append(draw(st.sampled_from(masks)))
+    if draw(st.booleans()):
+        masks.insert(draw(st.integers(min_value=0, max_value=len(masks))), 0)
+    return n, masks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_incidence_masks())
+@example((3, []))
+@example((3, [0, 0b101, 0b101, 0b001]))
+def test_incidence_bitsets_match_pairwise_definitions(case):
+    n, masks = case
+    cols = _transpose(masks, n)
+    assert cols == [sum(1 << i for i, m in enumerate(masks) if m >> a & 1) for a in range(n)]
+    assert _up_sets(masks, n) == [
+        sum(1 << j for j, mj in enumerate(masks) if mi & mj == mi) for mi in masks
+    ]
