@@ -310,6 +310,8 @@ def restriction(a: Arrangement, flat) -> Arrangement:
     this choice.
     """
     sub = flat.subspace if isinstance(flat, Flat) else flat
+    if sub.dim_ambient != a.d:
+        raise ValueError(f"flat in R^{sub.dim_ambient}, arrangement in R^{a.d}")
     restricted, _ = _restrict(a.normals, _common_scale(sub.echelon))
     return Arrangement(sub.dim, tuple(restricted))
 

@@ -99,6 +99,8 @@ class Cone:
 
     def contains(self, x) -> bool:
         x = vec(x)
+        if len(x) != self.d:
+            raise ValueError(f"point in R^{len(x)}, cone in R^{self.d}")
         return all(dot(e, x) == 0 for e in self.equalities) and all(
             dot(a, x) <= 0 for a in self.inequalities
         )

@@ -225,6 +225,8 @@ class Subspace:
         return _rref_rows(self.echelon)
 
     def contains(self, v: Sequence) -> bool:
+        if len(v) != self.dim_ambient:
+            raise ValueError(f"vector in R^{len(v)}, subspace of R^{self.dim_ambient}")
         return not any(_ireduce(v, self.echelon))
 
 

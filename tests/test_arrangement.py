@@ -39,7 +39,7 @@ from conevol.cone import (
     cone_from_generators,
     cone_from_inequalities,
 )
-from conevol.exactlin import _lift, dot, subspace_from_rows, vec
+from conevol.exactlin import _lift, dot, full_space, subspace_from_rows, vec
 
 import exact_oracles as oracle
 from arrangement_oracles import (
@@ -204,6 +204,11 @@ def test_restriction_examples():
     assert restriction(BRAID3, full) == BRAID3
     line = restriction(BC2, subspace_from_rows([[0, 1]], 2))
     assert line.d == 1 and len(line.normals) == 1
+
+
+def test_restriction_rejects_flat_of_wrong_dimension():
+    with pytest.raises(ValueError, match="R\\^2.*R\\^3"):
+        restriction(arrangement([[1, 0, 0], [0, 1, 0]], 3), full_space(2))
 
 
 def test_chambers_counts():

@@ -40,7 +40,7 @@ from conevol.exactlin import (
     subspace_intersection,
     vec,
 )
-from conevol.identities import _normal_of, _tangent_of
+from conevol.identities import _index_below
 from conevol.volumes import tangent_cone
 
 ORTHANT2 = cone_from_inequalities([[-1, 0], [0, -1]], 2)
@@ -119,6 +119,13 @@ def test_redundant_generator_dropped():
         [[1, 0, 0], [1, 1, 0], [1, 1, 1], [1, 0, 1], [3, 2, 2]], [], 3
     )
     assert c == SQUARE
+
+
+def test_contains_rejects_wrong_dimension():
+    for x in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match=f"R\\^{len(x)}.*R\\^2"):
+            ORTHANT2.contains(x)
+    assert ORTHANT2.contains([1, 2]) and not ORTHANT2.contains([-1, 2])
 
 
 def test_face_lattice_orthant3():
@@ -442,8 +449,9 @@ def _scan_normal_face(c, f):
 
 
 def _check_index_set_faces(c, fl):
-    """Index-set faces, swapped normal faces and the angle helpers' cones
-    against the routes that rebuild every face cone and every sub-lattice."""
+    """Index-set faces, swapped normal faces and the angle cones of
+    McMullen's relations against the routes that rebuild every face cone
+    and every sub-lattice."""
     faces = fl.faces
     assert list(faces) == sorted(faces, key=lambda f: (f.dim, f.cone.generators))
     # F <= G iff every generator of F is one of G's
@@ -460,11 +468,20 @@ def _check_index_set_faces(c, fl):
         assert [(g.dim, g.span, g.cone) for g in below] == [
             (g.dim, g.span, g.cone) for g in sub.faces
         ]
-        for g in below:
+        for gi, g in enumerate(faces):
+            if not fl.leq(gi, fi):
+                continue
             g_in_f = _scan_face_of_cone(sub, g.cone)
             assert sub.face_of_cone(g.cone) == g_in_f
-            assert _tangent_of(g, f) == tangent_cone(f.cone, g_in_f)
-            assert _normal_of(g, f) == normal_face(f.cone, g_in_f).cone
+            assert sub.faces[_index_below(fl, gi, fi)] == g_in_f
+            # T_G F = F + lin G, from the generators of F and of G
+            assert tangent_cone(f.cone, g_in_f) == cone_from_generators(
+                _selected(c, f.gen_mask), _selected(c, g.gen_mask) + c.lineality.basis, c.d)
+            # N_G F = N_G C + lin(F)^perp, from the normals active on G and on F
+            on_g = [c.inequalities[i] for i in sorted(g.active)]
+            on_f = [c.inequalities[i] for i in sorted(f.active)]
+            assert normal_face(f.cone, g_in_f).cone == cone_from_generators(
+                on_g, on_f + list(c.equalities), c.d)
 
 
 def test_face_lattice_builds_no_face_cone(monkeypatch):

@@ -148,6 +148,12 @@ def test_subspace_holds_integer_echelon_and_derives_rref():
     assert full_space(2).basis == ((1, 0), (0, 1)) and full_space(2).rref == mat([[1, 0], [0, 1]])
 
 
+def test_subspace_contains_rejects_wrong_dimension():
+    # dot products zip to the shorter row, so a wrong length must be caught
+    with pytest.raises(ValueError, match="R\\^3.*R\\^2"):
+        Subspace(2, ((1, 0),)).contains([5, 0, 7])
+
+
 def test_subspace_intersection():
     a = subspace_from_rows([[1, 0, 0], [0, 1, 0]], 3)
     b = subspace_from_rows([[0, 1, 0], [0, 0, 1]], 3)

@@ -397,3 +397,46 @@ def test_steiner_mgf_t_zero_trivial():
     # s(0) = 0: both sides of the MGF comparison are identically 1
     r = verify_steiner_mgf(ORTHANT2, [0.0], CFG)
     assert r.passed and r.residual_or_z <= CFG.tolerance_sigmas
+
+
+@pytest.mark.parametrize("check", ["kinematic", "polar-kinematic", "crofton"])
+def test_product_side_is_one_estimate_of_the_product(monkeypatch, check):
+    # the reference side v(C x D) is exact when exact_iv recognizes C x D,
+    # else one estimate of the product cone in R^{2d}, with the
+    # delta-method SE of the functional the identity reads from it
+    estimates, sides = [], []
+    real_estimate, real_side = identities.estimate_iv, identities._product_side
+
+    def estimate(c, cfg):
+        est = real_estimate(c, cfg)
+        estimates.append((c, est))
+        return est
+
+    def side(c, d_cone, coeffs, cfg, tag):
+        out = real_side(c, d_cone, coeffs, cfg, tag)
+        sides.append((coeffs, out))
+        return out
+
+    monkeypatch.setattr(identities, "estimate_iv", estimate)
+    monkeypatch.setattr(identities, "_product_side", side)
+    cfg = SampleConfig(n_samples=2000, seed=3)
+    run = {
+        "kinematic": lambda c, d: verify_kinematic(c, d, 0, 4, cfg),
+        "polar-kinematic": lambda c, d: verify_polar_kinematic(c, d, 1, 4, cfg),
+        "crofton": lambda c, d: verify_crofton_probability(c, d, 4, cfg),
+    }[check]
+    cones = dict(build_cones())
+    for pair, n_product in ((("square-cone-3d", "orthant-3d"), 1),
+                            (("orthant-2d", "orthant-2d"), 0)):
+        c, d_cone = (cones[name] for name in pair)
+        estimates.clear()
+        sides.clear()
+        r = run(c, d_cone)
+        products = [e for cone, e in estimates if cone.d == 2 * c.d]
+        assert len(products) == n_product, pair
+        [(coeffs, (rhs, rhs_se))] = sides
+        assert r.rhs == rhs
+        if products:
+            assert rhs_se == identities._functional_se(products[0], coeffs)
+        else:
+            assert rhs_se == 0.0
