@@ -6,13 +6,14 @@ built by breadth-first closure under single-hyperplane intersection on
 integer echelons: a flat X is keyed by the echelon of X^perp, the span of
 the normals of the hyperplanes containing it, and one kernel of that
 echelon gives the flat's subspace, itself an integer echelon.  Flats are
-sorted by their RREF (`Subspace.rref`), not by the echelon, which orders
-some flats with fractional RREF entries differently; a flat's coordinates,
-for restrictions and regions, are its RREF rows scaled by one common
-integer.  Flats are ordered by their defining sets as bitsets
-(`exactlin._up_sets`), and the Möbius recursion takes y in index order,
-bottom-up; characteristic polynomials carry exact integer coefficients.  An
-arrangement builds its lattice once and holds it, with no reference back;
+sorted by their RREF (`Subspace.rref`), read as integers at one common
+scale, not by the echelon, which orders some flats with fractional RREF
+entries differently; a flat's coordinates, for restrictions and regions,
+are its RREF rows scaled by one common integer.  Flats are ordered by their
+defining sets as bitsets (`exactlin._up_sets`), and the Möbius recursion
+takes y in index order, bottom-up; characteristic polynomials carry exact
+integer coefficients.  An arrangement builds its lattice once and holds
+it, with no reference back;
 the level polynomials chi_{A,0..d} come from one pass over the Möbius
 table.  Chambers are
 enumerated by incremental insertion on V-representations with the
@@ -21,7 +22,8 @@ lineality half `exactlin._lin_cut` runs once per hyperplane, its ray half
 `exactlin._dd_step` once per chamber.  Inserting a hyperplane splits exactly
 the chambers with generators strictly on both sides, decided by exact signs
 on integer vectors.  Regions of dimension j are the chambers of the
-restrictions to j-flats, lifted back to ambient coordinates.  Each region's
+restrictions to j-flats, lifted back to ambient coordinates; flats whose
+restricted arrangements are equal share one insertion.  Each region's
 cone is built from the insertion data, with no second double description:
 its rays and zero-set bitmasks give the generators and the facets, and the
 flat gives the lineality and the equalities.
@@ -234,10 +236,12 @@ class IntersectionLattice:
                     found.add(nk)
                     work.append(nk)
             defining[key] = frozenset(inside)
-        flats = sorted(
-            (Flat(_kernel(key, d), ds) for key, ds in defining.items()),
-            key=lambda f: (-f.dim, f.subspace.rref),
-        )
+        flats = [Flat(_kernel(key, d), ds) for key, ds in defining.items()]
+        # sorted by RREF: entry x/p of an echelon row with pivot entry p is
+        # x * (m // p) at the one positive scale m, so integers keep the order
+        m = math.lcm(*(row[p] for f in flats for p, row in f.subspace.echelon))
+        flats.sort(key=lambda f: (-f.dim, [[x * (m // row[p]) for x in row]
+                                           for p, row in f.subspace.echelon]))
         self.flats: tuple[Flat, ...] = tuple(flats)
         # a flat is the intersection of the hyperplanes containing it, so
         # flat_y lies in flat_x iff every hyperplane defining x defines y
@@ -414,21 +418,43 @@ def _facets(rays, n: int) -> list[int]:
     return _maximal(_transpose([z for _, z in rays], n), (1 << len(rays)) - 1)
 
 
-def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
-    """The chambers of the restriction to the flat, as ambient regions.
+def _restricted_chambers(restricted: list[Vec], j: int):
+    """The chambers of a restricted arrangement in its own coordinates R^j:
+    (lineality echelon, [(ray vectors, signs, facets)]).
 
-    Built from the insertion data alone, with no second double description:
-    rays are lifted and canonicalized modulo the lifted lineality; restricted
-    hyperplane t carries a facet iff its zero set on the rays is maximal, and
-    its facet normal is an ambient normal of t, pointed away from the chamber
-    and canonicalized modulo X^perp, which gives the equalities.  X^perp is
-    spanned by the normals of the hyperplanes containing X.
+    A pure function of the restricted normals, so flats whose restrictions
+    are equal share it.  Runs one chamber insertion, checks that the
+    lineality lies on every hyperplane and that each chamber's rays give its
+    insertion signs, and lists the hyperplanes carrying a facet: those whose
+    zero set on the rays is maximal.
     """
-    d, j = flat.subspace.dim_ambient, flat.dim
-    basis = _common_scale(flat.subspace.echelon)
-    restricted, where = _restrict(normals, basis)
     lin_ech, chams = _chamber_rays(restricted, j)
     _ray_signs(restricted, (), [v for _, v in lin_ech])  # lineality on every hyperplane
+    sides: dict[Vec, tuple[int, int]] = {}  # chambers share rays
+    out = []
+    for rays, signs in chams:
+        vecs = [r for r, _ in rays]
+        for r in vecs:
+            if r not in sides:
+                sides[r] = _sides(restricted, r)
+        if _signs_of(len(restricted), [sides[r] for r in vecs]) != signs:
+            raise InvariantViolation("chamber rays disagree with their insertion signs")
+        out.append((vecs, signs, _facets(rays, len(restricted))))
+    return lin_ech, out
+
+
+def _flat_regions(normals: Mat, flat: Flat, basis, where, lin_ech, chams) -> list[Region]:
+    """The chambers of the restriction to the flat, as ambient regions.
+
+    `basis`, `where` and the chamber data (`_restricted_chambers`) come from
+    the restriction to the flat; this lifts them, with no second double
+    description: rays are lifted and canonicalized modulo the lifted
+    lineality, and the facet normal of restricted hyperplane t is an ambient
+    normal of t, pointed away from the chamber and canonicalized modulo
+    X^perp, which gives the equalities.  X^perp is spanned by the normals of
+    the hyperplanes containing X.
+    """
+    d = flat.subspace.dim_ambient
     lin_amb = _echelon(_lift(v, basis) for _, v in lin_ech)
     lin = Subspace(d, tuple(row for _, row in lin_amb))
     perp = _echelon(normals[i] for i in sorted(flat.defining_set))
@@ -440,18 +466,13 @@ def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
             facing[w[0]] = [w[1] * x for x in n]
     # chambers share rays and facets, so each canonical row is formed once
     gen_rows: dict[Vec, Vec] = {}
-    sides: dict[Vec, tuple[int, int]] = {}
     facet_rows: dict[tuple[int, int], Vec] = {}
     out = []
-    for rays, signs in chams:
-        vecs = [r for r, _ in rays]
+    for vecs, signs, facets in chams:
         for r in vecs:
             if r not in gen_rows:
                 gen_rows[r] = _prim(_ireduce(_lift(r, basis), lin_amb))
-                sides[r] = _sides(restricted, r)
-        if _signs_of(len(restricted), [sides[r] for r in vecs]) != signs:
-            raise InvariantViolation("chamber rays disagree with their insertion signs")
-        facets = [(t, signs[t]) for t in _facets(rays, len(restricted))]
+        facets = [(t, signs[t]) for t in facets]
         for t, s in facets:
             if (t, s) not in facet_rows:
                 facet_rows[t, s] = _prim(_ireduce([-s * x for x in facing[t]], perp))
@@ -460,6 +481,25 @@ def _flat_regions(normals: Mat, flat: Flat) -> list[Region]:
                     generators=tuple(sorted(gen_rows[r] for r in vecs)), lineality=lin)
         sv = tuple(0 if w is None else signs[w[0]] * w[1] for w in where)
         out.append(Region(sv, cone, flat))
+    return out
+
+
+def _regions(normals: Mat, flats) -> list[Region]:
+    """The regions of the flats, in the given flat order.
+
+    Flats whose restricted normals are equal share one `_restricted_chambers`
+    (the restriction is sorted, sign-canonical and deduplicated, so equal
+    arrangements give equal tuples); each flat then gets its own lift.
+    """
+    shared: dict[tuple, tuple] = {}
+    out = []
+    for flat in flats:
+        basis = _common_scale(flat.subspace.echelon)
+        restricted, where = _restrict(normals, basis)
+        key = (flat.dim, tuple(restricted))
+        if key not in shared:
+            shared[key] = _restricted_chambers(restricted, flat.dim)
+        out += _flat_regions(normals, flat, basis, where, *shared[key])
     return out
 
 
@@ -472,22 +512,24 @@ def chambers(a: Arrangement) -> list[Region]:
     (`exactlin._lin_cut`, then `exactlin._dd_step` per chamber) that also converts
     cones between representations.  A hyperplane splits a chamber iff both
     halves have a ray strictly off it.  The chambers are the regions of the
-    ambient flat, built as in `regions_j`.
+    ambient flat, built as in `regions_j`: one insertion, then one lift.
     """
-    return _flat_regions(a.normals, _ambient_flat(a.d))
+    return _regions(a.normals, [_ambient_flat(a.d)])
 
 
 def regions_j(a: Arrangement, j: int, lattice=None) -> list[Region]:
     """All j-dimensional faces of chambers: chambers of restrictions to
     j-flats, with their rays mapped back to ambient coordinates.
 
-    The flat's RREF basis is scaled to integers by one common positive
-    factor, so every lifted ray is a positive multiple of its rational
-    lift.  `lattice` is unused: the only lattice a caller can pass is a's own."""
+    The cost is one chamber insertion per distinct restricted arrangement
+    among the j-flats, plus one lift per flat: on reflection families most
+    flats of a level restrict to the same arrangement.  The flat's RREF
+    basis is scaled to integers by one common positive factor, so every
+    lifted ray is a positive multiple of its rational lift.  `lattice` is
+    unused: the only lattice a caller can pass is a's own."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
-    return [r for flat in intersection_lattice(a).flats if flat.dim == j
-            for r in _flat_regions(a.normals, flat)]
+    return _regions(a.normals, [f for f in intersection_lattice(a).flats if f.dim == j])
 
 
 def zaslavsky_count(a: Arrangement, j: int, lattice=None) -> int:

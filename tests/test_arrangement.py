@@ -1,4 +1,5 @@
 import gc
+import importlib
 import itertools
 import random
 import weakref
@@ -270,10 +271,42 @@ def test_regions_j_matches_two_step_reference():
         assert parse_family_spec(spec) in [a for _, a in arrs]
     # a 2-dimensional lineality space, lifted with every region
     arrs.append(("rank-2-in-4d", arrangement([[1, 1, 0, 0], [0, 1, -1, 0], [1, 2, -1, 0]], 4)))
+    # d:4's 2-flats and 3-flats each restrict to three distinct arrangements
+    # (34 and 12 flats), so regions shared under too coarse a key show here
+    arrs.append(("d:4", parse_family_spec("d:4")))
     for name, a in arrs:
         for j in range(a.d + 1):
             got = [(r.sign_vector, r.cone, r.flat) for r in regions_j(a, j)]
             assert got == reference_regions_j(a, j), (name, j)
+
+
+def test_one_chamber_insertion_per_distinct_restriction(monkeypatch):
+    arr_module = importlib.import_module("conevol.arrangement")
+    real = arr_module._restricted_chambers
+    calls = []
+    monkeypatch.setattr(arr_module, "_restricted_chambers",
+                        lambda *a: calls.append(a) or real(*a))
+
+    def insertions(a, j):
+        calls.clear()
+        regions_j(a, j)
+        return len(calls)
+
+    # every flat of a bc level restricts to the same arrangement
+    bc4 = parse_family_spec("bc:4")
+    assert [insertions(bc4, j) for j in range(5)] == [1, 1, 1, 1, 1]
+    d4 = parse_family_spec("d:4")
+    assert [insertions(d4, j) for j in range(5)] == [1, 1, 3, 3, 1]
+    # a generic arrangement restricts differently to each flat of dimension
+    # at least 2; every line restricts to the one point of R^1
+    for a in (dict(build_arrangements())["generic-3d-n5"], named_family("generic", 4, n=7)):
+        ell = intersection_lattice(a).ell
+        assert [insertions(a, j) for j in range(a.d + 1)] == [
+            1 if j < 2 else ell[j] for j in range(a.d + 1)]
+        assert ell[2] > 1
+    calls.clear()
+    chambers(d4)
+    assert len(calls) == 1
 
 
 def test_chambers_match_h_to_v_conversion():
