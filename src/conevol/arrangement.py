@@ -23,17 +23,18 @@ lineality half `exactlin._lin_cut` runs once per hyperplane, its ray half
 the chambers with generators strictly on both sides, decided by exact signs
 on integer vectors.  Regions of dimension j are the chambers of the
 restrictions to j-flats, lifted back to ambient coordinates; flats whose
-restricted arrangements are equal share one insertion.  Each region's
-cone is built from the insertion data, with no second double description:
-its rays and zero-set bitmasks give the generators and the facets, and the
-flat gives the lineality and the equalities.
+restricted arrangements are equal share one insertion.  A region is built
+with its sign vector and flat; its cone is built from the insertion data
+on first read, with no second double description: its rays and zero-set
+bitmasks give the generators and the facets, and the flat gives the
+lineality and the equalities.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -177,11 +178,37 @@ class Flat:
         return self.subspace.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
+    """A chamber of the restriction to a flat, in ambient coordinates.
+
+    The sign vector and the flat are built with the region; the cone is
+    built from the chamber insertion on its first read and then held.  The
+    regions of one flat share the per-flat part of that build, and flats
+    whose restrictions are equal share each chamber's facets, so reading
+    every cone does the work of building them all at once.  A first read
+    from two threads at once may build the cone twice, with equal results.
+    Regions compare by sign vector, flat and cone, and hash by sign vector
+    and flat, so a comparison builds cones only where those two agree.
+    """
+
     sign_vector: tuple[int, ...]  # over the arrangement's normals; 0 = contained
-    cone: Cone
     flat: Flat
+    _lift: _FlatLift = field(repr=False)
+    _chamber: _Chamber = field(repr=False)
+
+    @cached_property
+    def cone(self) -> Cone:
+        return self._lift.cone(self._chamber)
+
+    def __eq__(self, other):
+        if not isinstance(other, Region):
+            return NotImplemented
+        return (self.sign_vector == other.sign_vector and self.flat == other.flat
+                and self.cone == other.cone)
+
+    def __hash__(self):
+        return hash((self.sign_vector, self.flat))
 
 
 def _sign_canon(v: Vec) -> Vec:
@@ -418,70 +445,105 @@ def _facets(rays, n: int) -> list[int]:
     return _maximal(_transpose([z for _, z in rays], n), (1 << len(rays)) - 1)
 
 
+@dataclass(eq=False)
+class _Chamber:
+    """A chamber of a restricted arrangement in its own coordinates: its
+    rays as (integer vector, zero-set bitmask) pairs and its side of each
+    restricted hyperplane."""
+
+    rays: list[tuple[Vec, int]]
+    signs: tuple[int, ...]
+
+    @cached_property
+    def facets(self) -> list[int]:
+        return _facets(self.rays, len(self.signs))
+
+
 def _restricted_chambers(restricted: list[Vec], j: int):
     """The chambers of a restricted arrangement in its own coordinates R^j:
-    (lineality echelon, [(ray vectors, signs, facets)]).
+    (lineality echelon, [_Chamber]).
 
     A pure function of the restricted normals, so flats whose restrictions
-    are equal share it.  Runs one chamber insertion, checks that the
+    are equal share it.  Runs one chamber insertion and checks that the
     lineality lies on every hyperplane and that each chamber's rays give its
-    insertion signs, and lists the hyperplanes carrying a facet: those whose
-    zero set on the rays is maximal.
+    insertion signs: the sign vectors every caller reads rest on both.  A
+    chamber's facets are found on the first read of a cone over it.
     """
     lin_ech, chams = _chamber_rays(restricted, j)
     _ray_signs(restricted, (), [v for _, v in lin_ech])  # lineality on every hyperplane
     sides: dict[Vec, tuple[int, int]] = {}  # chambers share rays
     out = []
     for rays, signs in chams:
-        vecs = [r for r, _ in rays]
-        for r in vecs:
+        for r, _ in rays:
             if r not in sides:
                 sides[r] = _sides(restricted, r)
-        if _signs_of(len(restricted), [sides[r] for r in vecs]) != signs:
+        if _signs_of(len(restricted), [sides[r] for r, _ in rays]) != signs:
             raise InvariantViolation("chamber rays disagree with their insertion signs")
-        out.append((vecs, signs, _facets(rays, len(restricted))))
+        out.append(_Chamber(rays, signs))
     return lin_ech, out
+
+
+class _FlatLift:
+    """Lifts the chambers of a flat's restriction to ambient cones, with no
+    second double description: rays are lifted and canonicalized modulo the
+    lifted lineality, and the facet normal of restricted hyperplane t is an
+    ambient normal of t, pointed away from the chamber and canonicalized
+    modulo X^perp, which gives the equalities.  X^perp is spanned by the
+    normals of the hyperplanes containing X.
+
+    The flat's regions share one lift.  Its state is built on the first cone
+    read of any of them, and chambers share rays and facets, so each
+    canonical row is formed once per flat.
+    """
+
+    def __init__(self, normals: Mat, flat: Flat, basis, where, lin_ech):
+        self.normals = normals
+        self.flat = flat
+        self.basis = basis
+        self.where = where
+        self.lin_ech = lin_ech
+        self.gen_rows: dict[Vec, Vec] = {}
+        self.facet_rows: dict[tuple[int, int], Vec] = {}
+
+    @cached_property
+    def frame(self):
+        """(lifted lineality echelon, lineality, X^perp echelon, equalities,
+        one ambient normal per restricted hyperplane, oriented like it)."""
+        lin_amb = _echelon(_lift(v, self.basis) for _, v in self.lin_ech)
+        lin = Subspace(self.flat.subspace.dim_ambient, tuple(row for _, row in lin_amb))
+        perp = _echelon(self.normals[i] for i in sorted(self.flat.defining_set))
+        facing: dict[int, list[int]] = {}
+        for n, w in zip(self.normals, self.where):
+            if w and w[0] not in facing:
+                facing[w[0]] = [w[1] * x for x in n]
+        return lin_amb, lin, perp, tuple(row for _, row in perp), facing
+
+    def cone(self, cham: _Chamber) -> Cone:
+        lin_amb, lin, perp, equalities, facing = self.frame
+        gen_rows, facet_rows = self.gen_rows, self.facet_rows
+        for r, _ in cham.rays:
+            if r not in gen_rows:
+                gen_rows[r] = _prim(_ireduce(_lift(r, self.basis), lin_amb))
+        facets = [(t, cham.signs[t]) for t in cham.facets]
+        for t, s in facets:
+            if (t, s) not in facet_rows:
+                facet_rows[t, s] = _prim(_ireduce([-s * x for x in facing[t]], perp))
+        return Cone(d=lin.dim_ambient, inequalities=tuple(sorted(facet_rows[k] for k in facets)),
+                    equalities=equalities,
+                    generators=tuple(sorted(gen_rows[r] for r, _ in cham.rays)), lineality=lin)
 
 
 def _flat_regions(normals: Mat, flat: Flat, basis, where, lin_ech, chams) -> list[Region]:
     """The chambers of the restriction to the flat, as ambient regions.
 
     `basis`, `where` and the chamber data (`_restricted_chambers`) come from
-    the restriction to the flat; this lifts them, with no second double
-    description: rays are lifted and canonicalized modulo the lifted
-    lineality, and the facet normal of restricted hyperplane t is an ambient
-    normal of t, pointed away from the chamber and canonicalized modulo
-    X^perp, which gives the equalities.  X^perp is spanned by the normals of
-    the hyperplanes containing X.
+    the restriction to the flat.  Each region's sign vector is read off its
+    chamber's signs here; its cone is lifted on first read by one
+    `_FlatLift` that the flat's regions share.
     """
-    d = flat.subspace.dim_ambient
-    lin_amb = _echelon(_lift(v, basis) for _, v in lin_ech)
-    lin = Subspace(d, tuple(row for _, row in lin_amb))
-    perp = _echelon(normals[i] for i in sorted(flat.defining_set))
-    equalities = tuple(row for _, row in perp)
-    # one ambient normal per restricted hyperplane, oriented like it
-    facing: dict[int, list[int]] = {}
-    for n, w in zip(normals, where):
-        if w and w[0] not in facing:
-            facing[w[0]] = [w[1] * x for x in n]
-    # chambers share rays and facets, so each canonical row is formed once
-    gen_rows: dict[Vec, Vec] = {}
-    facet_rows: dict[tuple[int, int], Vec] = {}
-    out = []
-    for vecs, signs, facets in chams:
-        for r in vecs:
-            if r not in gen_rows:
-                gen_rows[r] = _prim(_ireduce(_lift(r, basis), lin_amb))
-        facets = [(t, signs[t]) for t in facets]
-        for t, s in facets:
-            if (t, s) not in facet_rows:
-                facet_rows[t, s] = _prim(_ireduce([-s * x for x in facing[t]], perp))
-        cone = Cone(d=d, inequalities=tuple(sorted(facet_rows[k] for k in facets)),
-                    equalities=equalities,
-                    generators=tuple(sorted(gen_rows[r] for r in vecs)), lineality=lin)
-        sv = tuple(0 if w is None else signs[w[0]] * w[1] for w in where)
-        out.append(Region(sv, cone, flat))
-    return out
+    lift = _FlatLift(normals, flat, basis, where, lin_ech)
+    return [Region(tuple(0 if w is None else c.signs[w[0]] * w[1] for w in where), flat, lift, c)
+            for c in chams]
 
 
 def _regions(normals: Mat, flats) -> list[Region]:
@@ -489,7 +551,8 @@ def _regions(normals: Mat, flats) -> list[Region]:
 
     Flats whose restricted normals are equal share one `_restricted_chambers`
     (the restriction is sorted, sign-canonical and deduplicated, so equal
-    arrangements give equal tuples); each flat then gets its own lift.
+    arrangements give equal tuples), and with it each chamber's facets; each
+    flat then gets its own sign vectors and lift.
     """
     shared: dict[tuple, tuple] = {}
     out = []
@@ -512,7 +575,8 @@ def chambers(a: Arrangement) -> list[Region]:
     (`exactlin._lin_cut`, then `exactlin._dd_step` per chamber) that also converts
     cones between representations.  A hyperplane splits a chamber iff both
     halves have a ray strictly off it.  The chambers are the regions of the
-    ambient flat, built as in `regions_j`: one insertion, then one lift.
+    ambient flat, built as in `regions_j`: one insertion, with each cone
+    lifted on its first read.
     """
     return _regions(a.normals, [_ambient_flat(a.d)])
 
@@ -522,11 +586,13 @@ def regions_j(a: Arrangement, j: int, lattice=None) -> list[Region]:
     j-flats, with their rays mapped back to ambient coordinates.
 
     The cost is one chamber insertion per distinct restricted arrangement
-    among the j-flats, plus one lift per flat: on reflection families most
-    flats of a level restrict to the same arrangement.  The flat's RREF
-    basis is scaled to integers by one common positive factor, so every
-    lifted ray is a positive multiple of its rational lift.  `lattice` is
-    unused: the only lattice a caller can pass is a's own."""
+    among the j-flats, plus one sign vector per region: on reflection
+    families most flats of a level restrict to the same arrangement.  A
+    region's cone, with its chamber's facets, is built on its first read;
+    reading every cone adds one lift per flat.  The flat's RREF basis is
+    scaled to integers by one common positive factor, so every lifted ray
+    is a positive multiple of its rational lift.  `lattice` is unused: the
+    only lattice a caller can pass is a's own."""
     if not 0 <= j <= a.d:
         raise ValueError("region dimension out of range")
     return _regions(a.normals, [f for f in intersection_lattice(a).flats if f.dim == j])

@@ -1,7 +1,9 @@
 import gc
 import importlib
 import itertools
+import json
 import random
+import sys
 import weakref
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conevol import cli
 from conevol.arrangement import (
     Arrangement,
     BiPolynomial,
@@ -41,6 +44,7 @@ from conevol.cone import (
     cone_from_inequalities,
 )
 from conevol.exactlin import _lift, dot, full_space, subspace_from_rows, vec
+from conevol.identities import verify_zaslavsky
 
 import exact_oracles as oracle
 from arrangement_oracles import (
@@ -307,6 +311,65 @@ def test_one_chamber_insertion_per_distinct_restriction(monkeypatch):
     calls.clear()
     chambers(d4)
     assert len(calls) == 1
+
+
+def test_regions_build_cones_on_first_read(monkeypatch, capsys):
+    # `conevol.arrangement` names the re-exported function, not the module
+    arr_module = sys.modules["conevol.arrangement"]
+    real_facets, real_cone = arr_module._facets, arr_module.Cone
+    facet_calls, cone_builds = [], []
+    monkeypatch.setattr(arr_module, "_facets",
+                        lambda *a: facet_calls.append(a) or real_facets(*a))
+    monkeypatch.setattr(arr_module, "Cone",
+                        lambda **kw: cone_builds.append(kw) or real_cone(**kw))
+    bc4 = named_family("bc", 4)
+    # callers that read only counts and sign vectors build no cone
+    assert verify_zaslavsky(bc4).passed
+    assert cli.main(["arr-regions", "--family", "bc:4"]) == 0
+    assert json.loads(capsys.readouterr().out)["match"]
+    for j in range(bc4.d + 1):
+        regs = regions_j(bc4, j)
+        assert len(regs) == zaslavsky_count(bc4, j)
+        assert all(len(r.sign_vector) == len(bc4.normals) for r in regs)
+    assert facet_calls == [] and cone_builds == []
+    # reading every cone lists each chamber's facets once per distinct
+    # restriction of the level, not once per flat, and builds each cone once
+    for a in (bc4, named_family("d", 4)):
+        for j in range(a.d + 1):
+            regs = regions_j(a, j)
+            distinct = {restriction(a, f) for f in {r.flat for r in regs}}
+            facet_calls.clear()
+            cone_builds.clear()
+            cones = [r.cone for r in regs]
+            assert len(facet_calls) == sum(len(chambers(b)) for b in distinct), (a, j)
+            assert len(cone_builds) == len(regs), (a, j)
+            # a second read returns the held cone and builds nothing
+            assert all(r.cone is c for r, c in zip(regs, cones))
+            assert len(cone_builds) == len(regs), (a, j)
+
+
+@pytest.mark.parametrize("spec", ["bc:3", "d:4", "braid:4"])
+def test_region_cones_do_not_depend_on_read_order(spec):
+    a = parse_family_spec(spec)
+    for j in range(a.d + 1):
+        ref = reference_regions_j(a, j)
+        forward = regions_j(a, j)
+        cones = [r.cone for r in forward]
+        assert cones == [c for _, c, _ in ref], j
+        backward = regions_j(a, j)
+        assert [r.cone for r in reversed(backward)] == cones[::-1], j
+        for start in (0, 1):
+            sparse = regions_j(a, j)
+            assert [r.cone for r in sparse[start::2]] == cones[start::2], j
+        # regions of two calls compare and hash equal
+        again = regions_j(a, j)
+        assert again == forward == backward, j
+        assert [hash(r) for r in again] == [hash(r) for r in forward], j
+        assert len(set(again) | set(forward)) == len(forward), j
+    # equal sign vectors and flats over different arrangements: the cones differ
+    r1, r2 = (next(r for r in chambers(arrangement(rows, 2)) if r.sign_vector == (1, 1))
+              for rows in ([[1, 0], [0, 1]], [[1, 0], [1, 1]]))
+    assert r1.flat == r2.flat and r1 != r2 and r1.cone != r2.cone
 
 
 def test_chambers_match_h_to_v_conversion():
