@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Verbs: cone-info, cone-iv, cone-polar, arr-chi, arr-regions, arr-family,
-verify, suite.  Output is JSON (--format json, default) or a fixed-width
-table; identical argv and seed produce byte-identical output.  Exit codes:
-0 success / all pass, 1 verification failure, 2 input or usage error.
+verify, suite.  `verify`'s identities come from one table, `_IDENTITIES`,
+which names what each reads and the call that makes its reports.  Output
+is JSON (--format json, default) or a fixed-width table; identical argv
+and seed produce byte-identical output.  Exit codes: 0 success / all
+pass, 1 verification failure, 2 input or usage error.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from .arrangement import (
 )
 from .cone import cone_from_json, cone_to_json, face_lattice, polar
 from .identities import (
-    VerificationReport,
+    STEINER_T_GRID,
     render_table,
     run_suite,
+    status_counts,
     verify_crofton_probability,
     verify_euler,
     verify_face_alternation,
@@ -102,14 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="materialize a named family arrangement")
     s.add_argument("family_spec")
     s = sub.add_parser("verify", parents=[common], help="run one identity check")
-    s.add_argument("identity")
+    s.add_argument("identity", choices=_IDENTITIES)
     s.add_argument("targets", nargs="*")
     s.add_argument("--family")
     s.add_argument("--k", type=int, default=1)
     s.add_argument("--j", type=int, default=None)
     s.add_argument("--n", type=int, default=None)
     s.add_argument("--d", type=int, default=None)
-    s.add_argument("--t-grid", default="-1,-0.5,0.3")
+    s.add_argument("--t-grid")
     sub.add_parser("suite", parents=[common],
                    help="full identity battery over the bundled library")
     return p
@@ -124,17 +127,14 @@ def _load_cone(path: str):
     return cone_from_json(_load_json(path))
 
 
-def _load_arrangement(args):
-    targets = getattr(args, "targets", None) or []
-    if len(targets) > 1:
-        raise ValueError(f"verify {args.identity} takes at most 1 arrangement file, "
-                         f"got {len(targets)}")
-    if getattr(args, "family", None):
-        return parse_family_spec(args.family)
-    if getattr(args, "file", None):
-        return arrangement_from_json(_load_json(args.file))
-    if targets:
-        return arrangement_from_json(_load_json(targets[0]))
+def _load_arrangement(file: str | None, family: str | None):
+    if file and family:
+        raise ValueError(f"an arrangement file ({file}) and --family {family} "
+                         "were both given; give one")
+    if family:
+        return parse_family_spec(family)
+    if file:
+        return arrangement_from_json(_load_json(file))
     raise ValueError("an arrangement file or --family spec is required")
 
 
@@ -206,7 +206,7 @@ def _cmd_cone_polar(args) -> int:
 
 
 def _cmd_arr_chi(args) -> int:
-    a = _load_arrangement(args)
+    a = _load_arrangement(args.file, args.family)
     chi = char_poly(a)
     levels = [list(level_char_poly(a, j).coeffs) for j in range(a.d + 1)]
     payload = {
@@ -223,7 +223,7 @@ def _cmd_arr_chi(args) -> int:
 
 
 def _cmd_arr_regions(args) -> int:
-    a = _load_arrangement(args)
+    a = _load_arrangement(args.file, args.family)
     js = range(a.d + 1) if args.j is None else [args.j]
     counts = {}
     zas = {}
@@ -247,8 +247,11 @@ def _cmd_arr_family(args) -> int:
     return 0
 
 
-def _parse_grid(text: str):
-    grid = [float(x) for x in text.split(",") if x.strip()]
+def _grid(args):
+    """--t-grid as floats, STEINER_T_GRID when it is not given."""
+    if args.t_grid is None:
+        return STEINER_T_GRID
+    grid = [float(x) for x in args.t_grid.split(",") if x.strip()]
     if not grid:
         raise ValueError("--t-grid holds no values")
     for t in grid:
@@ -257,81 +260,68 @@ def _parse_grid(text: str):
     return grid
 
 
+def _required(args, *names):
+    values = [getattr(args, n) for n in names]
+    if any(v is None or v == "" for v in values):
+        raise ValueError(f"{args.identity} requires " + " and ".join(f"--{n}" for n in names))
+    return values
+
+
+# identity -> (what it reads: a number of cone files, or "arrangement" for one
+# arrangement file or --family spec; the call (args, cfg, *inputs) making its reports)
+_IDENTITIES = {
+    "euler": (1, lambda args, cfg, c: [verify_euler(c)]),
+    "gauss-bonnet": (1, lambda args, cfg, c: [verify_gauss_bonnet(c, cfg)]),
+    "sommerville": (1, lambda args, cfg, c: [verify_sommerville(c, cfg)]),
+    "face-alternation": (1, lambda args, cfg, c: [verify_face_alternation(c, args.k, cfg)]),
+    "statdim-alternation": (1, lambda args, cfg, c: [verify_statdim_alternation(c, cfg)]),
+    "statdim-consistency": (1, lambda args, cfg, c: [verify_statdim_consistency(c, cfg)]),
+    "genfun": (1, lambda args, cfg, c: [
+        verify_genfun_alternation(c, t, cfg) for t in _grid(args)]),
+    "steiner-mgf": (1, lambda args, cfg, c: [verify_steiner_mgf(c, _grid(args), cfg)]),
+    "mcmullen": (1, lambda args, cfg, c: [verify_mcmullen_inverse(c, cfg)]),
+    "kinematic": (2, lambda args, cfg, c, d: [verify_kinematic(c, d, args.k, args.trials, cfg)]),
+    "polar-kinematic": (2, lambda args, cfg, c, d: [
+        verify_polar_kinematic(c, d, args.k, args.trials, cfg)]),
+    "crofton": (2, lambda args, cfg, c, d: [verify_crofton_probability(c, d, args.trials, cfg)]),
+    "zaslavsky": ("arrangement", lambda args, cfg, a: [verify_zaslavsky(a)]),
+    "klivans-swartz": ("arrangement", lambda args, cfg, a: [
+        verify_klivans_swartz(a, j, cfg)
+        for j in (range(a.d + 1) if args.j is None else [args.j])]),
+    "generic-slice": ("arrangement", lambda args, cfg, a: [
+        verify_generic_slice(a, a.d if args.j is None else args.j, seed=args.seed)]),
+    "hug-schneider": (0, lambda args, cfg: [
+        verify_hug_schneider(*_required(args, "n", "d"), cfg)]),
+    "family-statdim": (0, lambda args, cfg: [
+        verify_family_statdim(*_required(args, "family", "j"), cfg)]),
+}
+
+
 def _cmd_verify(args) -> int:
     cfg = _cfg(args)
-    ident = args.identity
-    reports: list[VerificationReport] = []
-
-    def cones(n: int) -> list:
-        if len(args.targets) != n:
-            raise ValueError(f"verify {ident} takes {n} cone file{'s' * (n != 1)}, "
-                             f"got {len(args.targets)}")
-        return [_load_cone(t) for t in args.targets]
-
-    if ident == "euler":
-        reports.append(verify_euler(*cones(1)))
-    elif ident == "gauss-bonnet":
-        reports.append(verify_gauss_bonnet(*cones(1), cfg))
-    elif ident == "sommerville":
-        reports.append(verify_sommerville(*cones(1), cfg))
-    elif ident == "face-alternation":
-        reports.append(verify_face_alternation(*cones(1), args.k, cfg))
-    elif ident == "statdim-alternation":
-        reports.append(verify_statdim_alternation(*cones(1), cfg))
-    elif ident == "statdim-consistency":
-        reports.append(verify_statdim_consistency(*cones(1), cfg))
-    elif ident == "genfun":
-        c, = cones(1)
-        for t in _parse_grid(args.t_grid):
-            reports.append(verify_genfun_alternation(c, t, cfg))
-    elif ident == "steiner-mgf":
-        reports.append(verify_steiner_mgf(*cones(1), _parse_grid(args.t_grid), cfg))
-    elif ident == "mcmullen":
-        reports.append(verify_mcmullen_inverse(*cones(1), cfg))
-    elif ident == "kinematic":
-        reports.append(verify_kinematic(*cones(2), args.k, args.trials, cfg))
-    elif ident == "polar-kinematic":
-        reports.append(verify_polar_kinematic(*cones(2), args.k, args.trials, cfg))
-    elif ident == "crofton":
-        reports.append(verify_crofton_probability(*cones(2), args.trials, cfg))
-    elif ident == "zaslavsky":
-        reports.append(verify_zaslavsky(_load_arrangement(args)))
-    elif ident == "klivans-swartz":
-        a = _load_arrangement(args)
-        js = range(a.d + 1) if args.j is None else [args.j]
-        for j in js:
-            reports.append(verify_klivans_swartz(a, j, cfg))
-    elif ident == "generic-slice":
-        a = _load_arrangement(args)
-        reports.append(verify_generic_slice(a, a.d if args.j is None else args.j, seed=args.seed))
-    elif ident == "hug-schneider":
-        cones(0)
-        if args.n is None or args.d is None:
-            raise ValueError("hug-schneider requires --n and --d")
-        reports.append(verify_hug_schneider(args.n, args.d, cfg))
-    elif ident == "family-statdim":
-        cones(0)
-        if not args.family or args.j is None:
-            raise ValueError("family-statdim requires --family and --j")
-        reports.append(verify_family_statdim(args.family, args.j, cfg))
+    reads, run = _IDENTITIES[args.identity]
+    got = len(args.targets)
+    if reads == "arrangement":
+        if got > 1:
+            raise ValueError(f"verify {args.identity} takes at most 1 arrangement file, got {got}")
+        inputs = [_load_arrangement(args.targets[0] if got else None, args.family)]
+    elif got != reads:
+        raise ValueError(f"verify {args.identity} takes {reads} cone file"
+                         f"{'s' * (reads != 1)}, got {got}")
     else:
-        raise ValueError(f"unknown identity {ident!r}")
-    payload = [r.to_json() for r in reports]
-    _emit(args, payload, render_table(reports))
+        inputs = [_load_cone(t) for t in args.targets]
+    reports = run(args, cfg, *inputs)
+    _emit(args, [r.to_json() for r in reports], render_table(reports))
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 
 def _cmd_suite(args) -> int:
-    cfg = _cfg(args)
-    reports = run_suite(cfg, trials=min(args.trials, 128))
-    payload = {
-        "reports": [r.to_json() for r in reports],
-        "n_pass": sum(r.status == "pass" for r in reports),
-        "n_fail": sum(r.status == "fail" for r in reports),
-        "n_skip": sum(r.status == "skip" for r in reports),
-    }
+    reports = run_suite(_cfg(args), trials=min(args.trials, 128))
+    counts = status_counts(reports)
+    payload = {"reports": [r.to_json() for r in reports],
+               **{f"n_{s}": n for s, n in counts.items()}}
     _emit(args, payload, render_table(reports))
-    return 0 if payload["n_fail"] == 0 else 1
+    return 0 if counts["fail"] == 0 else 1
 
 
 _COMMANDS = {

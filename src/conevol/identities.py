@@ -19,14 +19,17 @@ face loop of the conic Sommerville relation, which the Sommerville,
 face-alternation, statdim-alternation and genfun-alternation checks call
 with the functionals e_0, e_k, (k) and (e^{tk}); `_rotation_mean` is the
 Haar-rotation loop of the kinematic and polar-kinematic checks; and
-`_region_iv_sums` sums estimated intrinsic volumes over regions.  Every
+`_region_estimates` is the region loop, region i drawn at sub-seed
+(*tags, i), of Klivans-Swartz, Hug-Schneider and family-statdim.  Every
 Haar rotation comes from `_rotations`, which `_rotation_mean` and
 Crofton's general path iterate, and every sampled decision, Crofton's line
 hits included, is the projection kernel's acceptance rule in `volumes`.
 
 Product sides and angle cones come from `cone` and `volumes`: v(C x D) is
 read off `cone.product` by `_product_side`, and McMullen's angles are solid
-angles of `volumes.tangent_cone` and `cone.normal_face`.
+angles of `volumes.tangent_cone` and `cone.normal_face`.  The Steiner
+grid, the t values of the suite's steiner-mgf checks and the CLI's default
+`--t-grid`, is the one constant `STEINER_T_GRID`.
 """
 
 from __future__ import annotations
@@ -189,11 +192,8 @@ def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
     """v_0(C) = sum over faces of (-1)^dim F v_0(F); both sides vanish
     when C contains a nonzero linear subspace."""
     if c.lineality_dim > 0:
-        return VerificationReport(
-            identity="sommerville", status="pass", lhs=0.0, rhs=0.0,
-            residual_or_z=0.0, seed=cfg.seed,
-            notes="lineality: both sides vanish exactly",
-        )
+        return _report_exact("sommerville", 0, 0.0, 0.0, seed=cfg.seed,
+                             notes="lineality: both sides vanish exactly")
     return _face_alternation("sommerville", c, [1] + [0] * c.d, cfg, tag=1)
 
 
@@ -270,6 +270,8 @@ def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> Verificat
 # ---------------------------------------------------------------------------
 # Steiner / moment identities
 
+STEINER_T_GRID = (-1.0, -0.5, 0.3)
+
 
 def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport:
     """The squared projection length has the chi-squared mixture MGF:
@@ -282,9 +284,9 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
     the same number as sum_k v_k e^{tk}.
 
     The SE comes from the sample variance of e^{s|P_C g|^2}, reliable only
-    where the fourth moment is finite, s < 1/8.  The default t = 0.3 gives
-    s ~ 0.226, which is why `tools/calibrate.py --seeds 3 --samples 500`
-    can fail seed 1002."""
+    where the fourth moment is finite, s < 1/8.  The t = 0.3 of
+    `STEINER_T_GRID` gives s ~ 0.226, which is why `tools/calibrate.py
+    --seeds 3 --samples 500` can fail seed 1002."""
     worst = 0.0
     details = []
     funcs = {"moment": lambda dims, pn2: pn2 - dims}
@@ -587,14 +589,20 @@ def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> Verifica
 # Arrangement identities
 
 
+def _region_estimates(regs, cfg: SampleConfig, *tags: int):
+    """Yield each region's intrinsic-volume estimate, region i sampled with
+    sub-seed (*tags, i)."""
+    for i, reg in enumerate(regs):
+        yield estimate_iv(reg.cone, _sub_cfg(cfg, *tags, i))
+
+
 def _region_iv_sums(regs, d: int, cfg: SampleConfig,
                     *tags: int) -> tuple[list[float], list[float]]:
     """Sums over regions of the estimated intrinsic volumes v_0..v_d and of
-    their variances; region i is sampled with sub-seed (*tags, i)."""
+    their variances, from `_region_estimates`."""
     sums = [0.0] * (d + 1)
     variances = [0.0] * (d + 1)
-    for i, reg in enumerate(regs):
-        est = estimate_iv(reg.cone, _sub_cfg(cfg, *tags, i))
+    for est in _region_estimates(regs, cfg, *tags):
         for k in range(d + 1):
             sums[k] += est.values[k]
             variances[k] += est.std_errors[k] ** 2
@@ -656,8 +664,7 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
 def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationReport:
     """Expected chamber intrinsic volumes of a verified-generic arrangement
     match the binomial closed form."""
-    arr = named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24))
-    regs = chambers(arr)
+    regs = chambers(named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24)))
     expected = cover_efron_expected_iv(n, d)
     sums, variances = _region_iv_sums(regs, d, cfg, 25)
     r = len(regs)
@@ -672,14 +679,12 @@ def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> Verificatio
     """A uniform j-region of the braid (bc) family has expected statistical
     dimension H_j (H_j / 2); ambient dimension j + 1."""
     d = j + 1
-    arr = named_family(family, d)
-    regs = regions_j(arr, j)
+    regs = regions_j(named_family(family, d), j)
     expected = float(expected_statdim_family(family, j))
     total = 0.0
     variances = []
     dims = list(range(d + 1))
-    for i, reg in enumerate(regs):
-        est = estimate_iv(reg.cone, _sub_cfg(cfg, 26, i))
+    for est in _region_estimates(regs, cfg, 26):
         total += sum(k * v for k, v in zip(dims, est.values))
         variances.append(_functional_se(est, dims) ** 2)
     r = len(regs)
@@ -725,7 +730,7 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     for i, t in enumerate((-1.0, -0.5, 0.5, 1.0)):
         add(verify_genfun_alternation(named["orthant-2d"], t, _sub_cfg(cfg, 107, i)), "orthant-2d")
     for i, name in enumerate(("plane-3d", "orthant-2d", "orthant-3d", "orthant-4d")):
-        add(verify_steiner_mgf(named[name], [-1.0, -0.5, 0.3], _sub_cfg(cfg, 108, i)), name)
+        add(verify_steiner_mgf(named[name], STEINER_T_GRID, _sub_cfg(cfg, 108, i)), name)
     for i, (name, c) in enumerate(cones):
         add(verify_statdim_consistency(c, _sub_cfg(cfg, 109, i)), name)
     for i, name in enumerate(("ray-1d", "orthant-2d", "orthant-3d", "wedge-45")):
@@ -769,14 +774,16 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     return reports
 
 
+def status_counts(reports) -> dict[str, int]:
+    """The number of reports with each status: pass, fail and skip."""
+    return {s: sum(r.status == s for r in reports) for s in ("pass", "fail", "skip")}
+
+
 def render_table(reports) -> str:
     lines = [f"{'identity':<34} {'stat':<5} {'resid/z':>10}  notes"]
     lines.append("-" * 78)
     for r in reports:
         lines.append(r.table_row())
-    n_pass = sum(1 for r in reports if r.status == "pass")
-    n_fail = sum(1 for r in reports if r.status == "fail")
-    n_skip = sum(1 for r in reports if r.status == "skip")
     lines.append("-" * 78)
-    lines.append(f"{n_pass} pass, {n_fail} fail, {n_skip} skip")
+    lines.append(", ".join(f"{n} {s}" for s, n in status_counts(reports).items()))
     return "\n".join(lines)

@@ -297,3 +297,68 @@ def test_json_surface_matches_recorded_output(capsys):
         code, out, _ = run_main(capsys, *argv)
         assert code == 0
         assert out == (FIXTURES / "expected" / f"skew-lineality.{recorded}.json").read_text()
+
+
+def test_arrangement_file_and_family_together_exit_two(capsys):
+    # two arrangements are an input error, not the --family one read silently
+    bc2 = str(FIXTURES / "bc2.json")
+    for argv in (["arr-chi", bc2, "--family", "braid:3"],
+                 ["arr-regions", bc2, "--family", "braid:3"],
+                 ["verify", "zaslavsky", bc2, "--family", "braid:3"],
+                 ["verify", "klivans-swartz", bc2, "--family", "braid:3", "--samples", "500"],
+                 ["verify", "generic-slice", bc2, "--family", "braid:3"]):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == "" and bc2 in err and "braid:3" in err, (argv, err)
+
+
+# one small argument list per identity of `conevol verify`
+_ORTHANT2 = str(FIXTURES / "orthant2.json")
+_VERIFY_ARGV = {
+    "euler": [_ORTHANT2],
+    "gauss-bonnet": [_ORTHANT2],
+    "sommerville": [_ORTHANT2],
+    "face-alternation": [_ORTHANT2, "--k", "1"],
+    "statdim-alternation": [_ORTHANT2],
+    "statdim-consistency": [_ORTHANT2],
+    "genfun": [_ORTHANT2],
+    "steiner-mgf": [_ORTHANT2],
+    "mcmullen": [_ORTHANT2],
+    "kinematic": [_ORTHANT2, _ORTHANT2, "--trials", "2"],
+    "polar-kinematic": [_ORTHANT2, _ORTHANT2, "--trials", "2"],
+    "crofton": [_ORTHANT2, str(FIXTURES / "line2.json"), "--trials", "2"],
+    "zaslavsky": ["--family", "braid:3"],
+    "klivans-swartz": ["--family", "braid:3"],
+    "generic-slice": ["--family", "braid:3"],
+    "hug-schneider": ["--n", "3", "--d", "2"],
+    "family-statdim": ["--family", "braid", "--j", "2"],
+}
+
+
+def test_verify_argv_covers_every_identity():
+    from conevol import cli
+
+    assert set(_VERIFY_ARGV) == set(cli._IDENTITIES)
+
+
+@pytest.mark.parametrize("identity", sorted(_VERIFY_ARGV))
+def test_every_identity_dispatches(identity, capsys):
+    code, out, _ = run_main(capsys, "verify", identity, *_VERIFY_ARGV[identity],
+                            "--samples", "500")
+    reports = json.loads(out)
+    assert code in (0, 1) and reports and all("status" in r for r in reports)
+    if identity == "genfun":
+        # the default --t-grid is the suite's Steiner grid
+        from conevol.identities import STEINER_T_GRID
+
+        assert [r["identity"] for r in reports] == [
+            f"genfun-alternation[t={t}]" for t in STEINER_T_GRID]
+
+
+def test_verify_help_lists_every_identity(capsys):
+    from conevol import cli
+
+    code, out, _ = run_main(capsys, "verify", "--help")
+    assert code == 0
+    for name in cli._IDENTITIES:
+        assert name in out, name
+    assert len(cli._IDENTITIES) == 17

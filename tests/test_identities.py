@@ -7,7 +7,13 @@ import pytest
 
 import crofton_oracle
 from conevol import identities
-from conevol.arrangement import IntersectionLattice, arrangement, named_family
+from conevol.arrangement import (
+    IntersectionLattice,
+    arrangement,
+    chambers,
+    named_family,
+    regions_j,
+)
 from conevol.catalog import build_cones
 from conevol.cone import (
     cone_from_generators,
@@ -66,6 +72,11 @@ def test_sommerville_half_line():
 def test_sommerville_lineality_short_circuit():
     r = verify_sommerville(HALFPLANE, CFG)
     assert r.passed and "lineality" in r.notes
+    # an exact verdict: no samples drawn, both sides and the residual 0.0
+    assert r.to_json() == {
+        "identity": "sommerville", "status": "pass", "lhs": 0.0, "rhs": 0.0,
+        "residual_or_z": 0.0, "n_samples": 0, "n_trials": 0, "seed": CFG.seed,
+        "notes": "lineality: both sides vanish exactly"}
 
 
 def test_sommerville_orthant3():
@@ -338,6 +349,35 @@ def test_hug_schneider():
 def test_family_statdim():
     assert verify_family_statdim("braid", 2, SampleConfig(n_samples=25_000, seed=14)).passed
     assert verify_family_statdim("bc", 1, SampleConfig(n_samples=25_000, seed=15)).passed
+
+
+def test_region_checks_draw_region_i_at_its_sub_seed():
+    # Klivans-Swartz, Hug-Schneider and family-statdim estimate region i at
+    # sub-seed (*tags, i); their sides are recomputed here region by region
+    cfg = SampleConfig(n_samples=2000, seed=31)
+
+    def estimates(regs, *tags):
+        return [estimate_iv(reg.cone, replace(cfg, seed=derive_seed(cfg.seed, *tags, i)))
+                for i, reg in enumerate(regs)]
+
+    def sums(ests, d):
+        out = [0.0] * (d + 1)
+        for e in ests:
+            for k in range(d + 1):
+                out[k] += e.values[k]
+        return out
+
+    braid3 = named_family("braid", 3)
+    ests = estimates(regions_j(braid3, 2), 23, 2)
+    assert verify_klivans_swartz(braid3, 2, cfg).lhs == [round(s, 6) for s in sums(ests, 3)[:3]]
+    regs = chambers(named_family("generic", 2, n=3, seed=derive_seed(cfg.seed, 24)))
+    ests = estimates(regs, 25)
+    assert verify_hug_schneider(3, 2, cfg).lhs == [round(s / len(regs), 6) for s in sums(ests, 2)]
+    regs = regions_j(named_family("bc", 2), 1)
+    total = 0.0
+    for e in estimates(regs, 26):
+        total += sum(k * v for k, v in enumerate(e.values))
+    assert verify_family_statdim("bc", 1, cfg).lhs == total / len(regs)
 
 
 def test_rationalize_matrix_accuracy():
