@@ -30,6 +30,7 @@ from .cone import (
     canonical_decomposition,
     cone_from_generators,
     cone_from_inequalities,
+    congruence_key,
     face_lattice,
     farkas_check,
     intersect,

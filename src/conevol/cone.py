@@ -34,21 +34,32 @@ double description.  `transverse` asks it whether relint(F) ∩ relint(G) is
 nonempty, with the strict rows read off the parents' inequalities, so no
 face cone is built; `farkas_check` asks it for the primal side of the
 Farkas equivalence.
+
+`congruence_key` reads the signed squared cosines between a cone's
+generators, projected onto lin(C)^perp, in a canonical order: cones with
+equal keys are congruent, so they have equal intrinsic volumes.  A cone
+holds the cosine table of its generators on first use, and a face is
+keyed from its parent's table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from math import factorial, gcd, prod
 
 from .exactlin import (
     Mat,
     Subspace,
+    Vec,
+    _bits,
     _canon_rays,
     _dd,
     _echelon,
     _int_rows,
     _maximal,
+    _prim,
     _span,
     _up_sets,
     dot,
@@ -96,6 +107,10 @@ class Cone:
     @cached_property
     def _face_lattice(self) -> FaceLattice:
         return _build_face_lattice(self)
+
+    @cached_property
+    def _cosine_table(self) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        return _build_cosine_table(self)
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -354,6 +369,106 @@ def transverse(f: Face, g: Face) -> bool:
     ]
     # on s = {0} this holds iff both faces are subspaces (no strict rows)
     return lp_strictly_feasible(strict, s.dim)
+
+
+# ---------------------------------------------------------------------------
+# Congruence
+
+# cell-respecting generator orders `_canonical_cosines` may search; a cone
+# with more is keyed by itself
+_KEY_BUDGET = 720
+
+
+def _perp_rows(rows: Mat, lin: Subspace) -> list[Vec]:
+    """Positive multiples of the rows' orthogonal projections onto lin^perp,
+    as integer vectors: each lineality direction of an orthogonal integer
+    basis b is taken out by x <- (b.b) x - (x.b) b."""
+    basis: list[Vec] = []
+
+    def project(v):
+        for b in basis:
+            v = _prim([dot(b, b) * x - dot(v, b) * y for x, y in zip(v, b)])
+        return v
+
+    for row in lin.basis:
+        basis.append(project(row))
+    return [project(r) for r in rows]
+
+
+def _build_cosine_table(c: Cone) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Per pair of generators x, y of C, projected onto lin(C)^perp, the
+    signed squared cosine sign(x.y) (x.y)^2 / (|x|^2 |y|^2) as a reduced
+    (numerator, denominator) pair.  The pairs are held as codes, their ranks
+    among the table's distinct pairs, which the table returns in order: a
+    code order is the pair order, so searches compare small ints."""
+    u = _perp_rows(c.generators, c.lineality)
+    norms = [dot(x, x) for x in u]
+    m = len(u)
+    pairs = [[(1, 1)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i):
+            g = dot(u[i], u[j])
+            num, den = g * abs(g), norms[i] * norms[j]
+            h = gcd(num, den)
+            pairs[i][j] = pairs[j][i] = (num // h, den // h)
+    values = sorted({p for row in pairs for p in row})
+    code = {p: k for k, p in enumerate(values)}
+    return [[code[p] for p in row] for row in pairs], values
+
+
+def _canonical_cosines(table, idx: list[int]):
+    """The cosine table on the generators idx, in canonical form under
+    simultaneous permutation of rows and columns, or None past the budget.
+
+    Generators are split into cells by the sorted multiset of their rows and
+    the cells ordered by it; only orders that keep each cell in its place
+    are searched.  The form is the least sequence of rows below the
+    diagonal over those orders, built one position at a time from every
+    partial order that is still least, and read back as pairs."""
+    codes, values = table
+    row_of = {i: sorted(codes[i][j] for j in idx) for i in idx}.__getitem__
+    cells = [list(cell) for _, cell in groupby(sorted(idx, key=row_of), key=row_of)]
+    if prod(factorial(len(cell)) for cell in cells) > _KEY_BUDGET:
+        return None
+    partial = [()]
+    form = []
+    for cell in cells:
+        for _ in cell:
+            least, grown = None, []
+            for p in partial:
+                for v in cell:
+                    if v in p:
+                        continue
+                    row = [codes[v][s] for s in p]
+                    if least is None or row < least:
+                        least, grown = row, [p + (v,)]
+                    elif row == least:
+                        grown.append(p + (v,))
+            form.append(tuple(values[k] for k in least))
+            partial = grown
+    return tuple(form)
+
+
+def congruence_key(c: Cone | Face) -> tuple:
+    """A key that two cones share only if an orthogonal map carries one onto
+    the other, so they have the same intrinsic volumes.
+
+    The key is (d, dim C, dim lin(C), the canonical cosine table of C's
+    generators projected onto lin(C)^perp).  Equal tables give an isometry
+    between the pointed parts that maps generator to generator, and any
+    isometry between the lineality spaces and between the remaining
+    complements completes it.  The key is sound but not complete: a cone
+    whose table is past the search budget is keyed by the cone itself.  A
+    face is keyed from its parent's table, so its cone is not built."""
+    if isinstance(c, Face):
+        parent = c.parent
+        idx = list(_bits(c.gen_mask))
+    else:
+        parent, idx = c, list(range(len(c.generators)))
+    form = _canonical_cosines(parent._cosine_table, idx)
+    if form is None:
+        form = c.cone if isinstance(c, Face) else c
+    return (parent.d, c.dim, parent.lineality_dim, form)
 
 
 # ---------------------------------------------------------------------------

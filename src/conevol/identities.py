@@ -19,8 +19,12 @@ face loop of the conic Sommerville relation, which the Sommerville,
 face-alternation, statdim-alternation and genfun-alternation checks call
 with the functionals e_0, e_k, (k) and (e^{tk}); `_rotation_mean` is the
 Haar-rotation loop of the kinematic and polar-kinematic checks; and
-`_region_estimates` is the region loop, region i drawn at sub-seed
-(*tags, i), of Klivans-Swartz, Hug-Schneider and family-statdim.  Every
+`_class_estimates` is the one loop over faces or regions, for those four
+checks and for Klivans-Swartz, Hug-Schneider and family-statdim.  It draws
+one estimate per class of congruent cones (`cone.congruence_key`), the
+class's first member i at sub-seed (*tags, i), and the class enters its
+sum with weight n and standard error n se: congruent cones have equal
+intrinsic volumes, and the members share one estimate.  Every
 Haar rotation comes from `_rotations`, which `_rotation_mean` and
 Crofton's general path iterate, and every sampled decision, Crofton's line
 hits included, is the projection kernel's acceptance rule in `volumes`.
@@ -60,6 +64,7 @@ from .cone import (
     Face,
     FaceLattice,
     cone_from_generators,
+    congruence_key,
     face_lattice,
     intersect,
     minkowski_sum,
@@ -129,6 +134,35 @@ def _sub_cfg(cfg: SampleConfig, *tags: int) -> SampleConfig:
     return replace(cfg, seed=derive_seed(cfg.seed, *tags))
 
 
+def _class_estimates(parts, cfg: SampleConfig,
+                     *tags: int) -> list[tuple[Face | Cone, int, IVEstimate]]:
+    """One estimate per congruence class of the faces or cones in parts:
+    (the class's first member, the class size n, the estimate of that
+    member, parts[i], sampled at sub-seed (*tags, i)), in the order of
+    first members.
+
+    Congruent cones have the same intrinsic volumes, so a class enters a sum
+    with weight n and standard error n se; the members share one estimate,
+    so the error is not shrunk by sqrt(n).  A class of one is sampled as it
+    was alone, and `cone.congruence_key` keys a face without building its
+    cone, so only the representatives' cones are built."""
+    classes: dict[tuple, list[int]] = {}
+    for i, p in enumerate(parts):
+        classes.setdefault(congruence_key(p), []).append(i)
+    out = []
+    for members in classes.values():
+        i = members[0]
+        p = parts[i]
+        out.append((p, len(members),
+                    estimate_iv(p.cone if isinstance(p, Face) else p, _sub_cfg(cfg, *tags, i))))
+    return out
+
+
+def _class_note(count: int, what: str, estimates: int) -> str:
+    """How many parts a class sum covers and how many estimates it drew."""
+    return f"{count} {what}, {estimates} estimates"
+
+
 def _z(diff: float, se: float, n: int) -> float:
     """|diff| in units of the standard error se, floored at 1/n."""
     return abs(diff) / _floor_se(se, n)
@@ -169,23 +203,27 @@ def _face_alternation(name: str, c: Cone, phi, cfg: SampleConfig,
                       tag: int) -> VerificationReport:
     """The conic Sommerville relation at the functional phi:
     lhs = sum_k (-1)^k phi_k vhat_k(C) against
-    rhs = sum over faces F of (-1)^dim F sum_k phi_k vhat_k(F), face i
-    sampled at sub-seed (tag, i).  The estimate of C itself enters the
-    residual once, with net coefficients."""
+    rhs = sum over faces F of (-1)^dim F sum_k phi_k vhat_k(F), each class
+    of n congruent faces entering once with weight n (`_class_estimates`,
+    sub-seeds (tag, i)).  C is the one face of its dimension, so its class
+    is itself; its estimate enters the residual once, with net
+    coefficients."""
     alt = [(-1) ** k * p for k, p in enumerate(phi)]
     lhs = rhs = residual = 0.0
     ses = []
-    for i, f in enumerate(face_lattice(c).faces):
-        e = estimate_iv(f.cone, _sub_cfg(cfg, tag, i))
-        sign = (-1) ** f.dim
-        rhs += sign * sum(p * v for p, v in zip(phi, e.values))
-        coeffs = [-sign * p for p in phi]
+    faces = face_lattice(c).faces
+    classes = _class_estimates(faces, cfg, tag)
+    for f, n, e in classes:
+        w = n * (-1) ** f.dim
+        rhs += w * sum(p * v for p, v in zip(phi, e.values))
+        coeffs = [-w * p for p in phi]
         if f.cone == c:
             lhs = sum(a * v for a, v in zip(alt, e.values))
             coeffs = [a + cf for a, cf in zip(alt, coeffs)]
         residual += sum(cf * v for cf, v in zip(coeffs, e.values))
         ses.append(_functional_se(e, coeffs))
-    return _report_z(name, _z(residual, _quad(*ses), cfg.n_samples), cfg, lhs, rhs)
+    return _report_z(name, _z(residual, _quad(*ses), cfg.n_samples), cfg, lhs, rhs,
+                     notes=_class_note(len(faces), "faces", len(classes)))
 
 
 def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
@@ -589,24 +627,19 @@ def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> Verifica
 # Arrangement identities
 
 
-def _region_estimates(regs, cfg: SampleConfig, *tags: int):
-    """Yield each region's intrinsic-volume estimate, region i sampled with
-    sub-seed (*tags, i)."""
-    for i, reg in enumerate(regs):
-        yield estimate_iv(reg.cone, _sub_cfg(cfg, *tags, i))
-
-
-def _region_iv_sums(regs, d: int, cfg: SampleConfig,
-                    *tags: int) -> tuple[list[float], list[float]]:
-    """Sums over regions of the estimated intrinsic volumes v_0..v_d and of
-    their variances, from `_region_estimates`."""
+def _region_iv_sums(cones, d: int, cfg: SampleConfig,
+                    *tags: int) -> tuple[list[float], list[float], int]:
+    """Sums over the region cones of the estimated intrinsic volumes
+    v_0..v_d and of their variances, one estimate per congruence class
+    (`_class_estimates`), and the number of estimates drawn."""
     sums = [0.0] * (d + 1)
     variances = [0.0] * (d + 1)
-    for est in _region_estimates(regs, cfg, *tags):
+    classes = _class_estimates(cones, cfg, *tags)
+    for _, n, est in classes:
         for k in range(d + 1):
-            sums[k] += est.values[k]
-            variances[k] += est.std_errors[k] ** 2
-    return sums, variances
+            sums[k] += n * est.values[k]
+            variances[k] += (n * est.std_errors[k]) ** 2
+    return sums, variances, len(classes)
 
 
 def verify_zaslavsky(a: Arrangement) -> VerificationReport:
@@ -625,13 +658,13 @@ def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig) -> Verifica
     the level characteristic polynomial; includes sum v_j = ell_j at k = j."""
     chi = level_char_poly(a, j)
     regs = regions_j(a, j)
-    sums, variances = _region_iv_sums(regs, a.d, cfg, 23, j)
+    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], a.d, cfg, 23, j)
     expected = [(-1) ** (j - k) * chi.coefficient(k) for k in range(j + 1)]
     worst = max(_z(sums[k] - expected[k], math.sqrt(variances[k]), cfg.n_samples)
                 for k in range(j + 1))
     return _report_z(f"klivans-swartz[j={j}]", worst, cfg,
                      [round(s, 6) for s in sums[: j + 1]], expected,
-                     notes=f"{len(regs)} regions")
+                     notes=_class_note(len(regs), "regions", drawn))
 
 
 def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationReport:
@@ -666,32 +699,34 @@ def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationRepor
     match the binomial closed form."""
     regs = chambers(named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24)))
     expected = cover_efron_expected_iv(n, d)
-    sums, variances = _region_iv_sums(regs, d, cfg, 25)
+    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], d, cfg, 25)
     r = len(regs)
     worst = max(_z(sums[k] / r - float(expected[k]), math.sqrt(variances[k]) / r,
                    cfg.n_samples) for k in range(d + 1))
     return _report_z(f"hug-schneider[n={n},d={d}]", worst, cfg,
                      [round(s / r, 6) for s in sums], [float(x) for x in expected],
-                     notes=f"{r} chambers")
+                     notes=_class_note(r, "chambers", drawn))
 
 
 def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> VerificationReport:
     """A uniform j-region of the braid (bc) family has expected statistical
-    dimension H_j (H_j / 2); ambient dimension j + 1."""
+    dimension H_j (H_j / 2); ambient dimension j + 1.  A family with no
+    closed form is rejected before any region is enumerated."""
+    expected = float(expected_statdim_family(family, j))
     d = j + 1
     regs = regions_j(named_family(family, d), j)
-    expected = float(expected_statdim_family(family, j))
     total = 0.0
     variances = []
     dims = list(range(d + 1))
-    for est in _region_estimates(regs, cfg, 26):
-        total += sum(k * v for k, v in zip(dims, est.values))
-        variances.append(_functional_se(est, dims) ** 2)
+    classes = _class_estimates([r.cone for r in regs], cfg, 26)
+    for _, n, est in classes:
+        total += n * sum(k * v for k, v in zip(dims, est.values))
+        variances.append(_functional_se(est, [n * k for k in dims]) ** 2)
     r = len(regs)
     mean = total / r
     z = _z(mean - expected, math.sqrt(sum(variances)) / r, cfg.n_samples)
     return _report_z(f"family-statdim[{family},j={j}]", z, cfg, mean, expected,
-                     notes=f"{r} regions in R^{d}")
+                     notes=f"{_class_note(r, 'regions', len(classes))} in R^{d}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
+from conevol.arrangement import chambers, parse_family_spec, regions_j
 from conevol import cone as cone_module
 from conevol.catalog import build_cones
 from conevol.cone import (
@@ -20,6 +22,7 @@ from conevol.cone import (
     cone_from_inequalities,
     cone_from_json,
     cone_to_json,
+    congruence_key,
     face_lattice,
     farkas_check,
     intersect,
@@ -41,7 +44,7 @@ from conevol.exactlin import (
     vec,
 )
 from conevol.identities import _index_below
-from conevol.volumes import tangent_cone
+from conevol.volumes import exact_iv, tangent_cone
 
 ORTHANT2 = cone_from_inequalities([[-1, 0], [0, -1]], 2)
 ORTHANT3 = cone_from_inequalities([[-1, 0, 0], [0, -1, 0], [0, 0, -1]], 3)
@@ -657,3 +660,169 @@ def test_extreme_rays_oracle_stress_instances():
     assert list(cross.generators) == brute_force_extreme_rays(
         cross.inequalities, 4
     )
+
+
+# ---------------------------------------------------------------------------
+# Congruence keys
+
+_PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+
+
+@st.composite
+def _integer_orthogonal(draw, d):
+    # a signed permutation times a rotation by a Pythagorean angle in one
+    # coordinate plane, scaled to integers by the hypotenuse
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+    q = [[signs[i] * int(perm[i] == j) for j in range(d)] for i in range(d)]
+    if d == 1:
+        return q
+    a, b, h = draw(st.sampled_from(_PYTHAGOREAN))
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    rot = [[h * int(r == s) for s in range(d)] for r in range(d)]
+    rot[i][i], rot[i][j], rot[j][i], rot[j][j] = a, -b, b, a
+    return [[sum(rot[r][t] * q[t][s] for t in range(d)) for s in range(d)] for r in range(d)]
+
+
+def _image(q, c):
+    """QC for an integer matrix Q whose rows are orthogonal with one norm."""
+    def rows(vs):
+        return [[dot(qr, v) for qr in q] for v in vs]
+    return cone_from_generators(rows(c.generators), rows(c.lineality.basis), c.d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_cone_inputs().flatmap(
+    lambda case: st.tuples(st.just(case), _integer_orthogonal(case[0]))))
+def test_congruence_key_is_orthogonally_invariant(drawn):
+    # with and without lineality: the drawn second list is the lineality
+    (d, rows, extra), q = drawn
+    c = cone_from_generators(rows, extra, d)
+    key = congruence_key(c)
+    assert congruence_key(_image(q, c)) == key
+    # C and -C are congruent
+    assert congruence_key(_image([[-int(i == j) for j in range(d)] for i in range(d)], c)) == key
+    # a face is keyed from its parent's rows, with the key of its own cone
+    for f in face_lattice(c).faces:
+        assert congruence_key(f) == congruence_key(f.cone)
+
+
+def test_congruence_key_separates_catalog_pairs():
+    named = dict(build_cones())
+    assert congruence_key(named["wedge-45"]) != congruence_key(named["wedge-135"])
+    assert congruence_key(named["braid-chamber-3d"]) != congruence_key(named["bc-chamber-3d"])
+    assert congruence_key(named["orthant-2d"]) == congruence_key(named["rot-orthant-2d"])
+    assert congruence_key(named["orthant-3d"]) == congruence_key(named["neg-orthant-3d"])
+
+
+def test_equal_keys_have_equal_exact_volumes():
+    # over the catalog cones and all their faces, cones sharing a key share
+    # their closed-form intrinsic volumes wherever exact_iv knows them
+    by_key = {}
+    for _, c in build_cones():
+        for f in face_lattice(c).faces:
+            ex = exact_iv(f.cone)
+            if ex is not None:
+                by_key.setdefault(congruence_key(f), {})[f.cone] = ex.values
+    assert all(len(set(cones.values())) == 1 for cones in by_key.values())
+    # not vacuous: many keys are shared by different cones
+    assert sum(len(cones) > 1 for cones in by_key.values()) >= 15
+
+
+def test_congruence_key_budget():
+    # 7 orthogonal generators are one cell with 7! orders, past the budget,
+    # so the orthant keys by itself and a rotated copy gets another key;
+    # at 6! orders the table is searched and the copies share a key
+    for d, shared in ((6, True), (7, False)):
+        orthant = cone_from_generators([[int(i == j) for j in range(d)] for i in range(d)], [], d)
+        flipped = _image([[-int(i == j) for j in range(d)] for i in range(d)], orthant)
+        assert (congruence_key(orthant) == congruence_key(flipped)) is shared
+        assert (congruence_key(orthant)[3] == orthant) is not shared
+    # every face of the 226-ray cone in R^8: the search never runs past the
+    # budget, and the generator rows are read off one table of the parent
+    c = cone_from_json(json.loads((FIXTURES / "cone-8d-16.json").read_text()))
+    faces = face_lattice(c).faces
+    t0 = time.perf_counter()
+    keys = {congruence_key(f) for f in faces}
+    assert time.perf_counter() - t0 < 10.0
+    assert len(keys) <= len(faces)
+    assert all(f.__dict__.get("cone") is None for f in faces)
+
+
+def test_reflection_chambers_form_one_class():
+    # the Weyl group permutes the chambers of braid, bc and d by orthogonal
+    # maps, so each family's chambers share one key; braid's carry the
+    # lineality line (1, ..., 1), which the key projects out
+    for spec in ("braid:4", "bc:3", "d:4"):
+        regs = chambers(parse_family_spec(spec))
+        assert len({congruence_key(r.cone) for r in regs}) == 1, spec
+    # every level of bc:4: {0}, the 80 rays and the 384 chambers are one
+    # class each, and the 768 3-regions, on the 16 hyperplanes, fall into 4
+    counts = [len({congruence_key(r.cone) for r in regions_j(parse_family_spec("bc:4"), j)})
+              for j in range(5)]
+    assert counts[0] == counts[1] == counts[4] == 1
+    assert counts[3] == 4
+
+
+def test_congruence_key_of_a_rotated_lineality_cone():
+    # generators stored modulo a skew lineality line are not its orthogonal
+    # complement's rays; the key reads their projections
+    c = cone_from_generators([[1, 0, 0], [0, 1, 0]], [[1, 1, 1]], 3)
+    rot = [[3, -4, 0], [4, 3, 0], [0, 0, 5]]
+    assert congruence_key(_image(rot, c)) == congruence_key(c)
+    assert congruence_key(_image([[0, 1, 0], [0, 0, 1], [1, 0, 0]], c)) == congruence_key(c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_cone_inputs(), st.randoms(use_true_random=False))
+def test_cosine_form_is_a_relabelling_of_the_table(case, rnd):
+    # the form does not depend on the order the generators are given in,
+    # and it is the table itself under some order, found here by brute force
+    d, rows, extra = case
+    c = cone_from_generators(rows, extra, d)
+    codes, values = table = c._cosine_table
+    idx = list(range(len(c.generators)))
+    form = cone_module._canonical_cosines(table, idx)
+    shuffled = idx[:]
+    rnd.shuffle(shuffled)
+    assert cone_module._canonical_cosines(table, shuffled) == form
+
+    def lower(order):
+        return tuple(tuple(values[codes[v][s]] for s in order[:t]) for t, v in enumerate(order))
+
+    if form is not None and len(idx) <= 6:
+        assert any(lower(p) == form for p in itertools.permutations(idx))
+
+
+def test_cosine_form_decides_relabelling_of_small_tables():
+    # on symmetric tables of 6 generators with two off-diagonal values
+    # (graphs), every table is within the budget, so two forms are equal
+    # exactly when some relabelling carries one table onto the other;
+    # brute force over all 720 orders decides that
+    rng = random.Random(5)
+    values = [(0, 1), (1, 4), (1, 1)]
+
+    def table(edges, m=6):
+        codes = [[2 if i == j else int(frozenset((i, j)) in edges) for j in range(m)]
+                 for i in range(m)]
+        return codes, values
+
+    def brute(t):
+        codes = t[0]
+        return min(tuple(codes[v][s] for t_, v in enumerate(p) for s in p[:t_])
+                   for p in itertools.permutations(range(6)))
+
+    pairs = [frozenset(p) for p in itertools.combinations(range(6), 2)]
+    graphs = [frozenset(e for e in pairs if rng.random() < 0.5) for _ in range(40)]
+    for g in graphs[:10]:  # relabelled copies
+        perm = list(range(6))
+        rng.shuffle(perm)
+        graphs.append(frozenset(frozenset(perm[i] for i in e) for e in g))
+    tables = [table(g) for g in graphs]
+    forms = [cone_module._canonical_cosines(t, list(range(6))) for t in tables]
+    canon = [brute(t) for t in tables]
+    assert None not in forms
+    for a in range(len(tables)):
+        for b in range(a):
+            assert (forms[a] == forms[b]) == (canon[a] == canon[b])
+    assert all(forms[40 + k] == forms[k] for k in range(10))

@@ -18,6 +18,7 @@ from conevol.catalog import build_cones
 from conevol.cone import (
     cone_from_generators,
     cone_from_inequalities,
+    congruence_key,
     face_lattice,
 )
 from conevol.identities import (
@@ -105,22 +106,45 @@ def test_face_alternation():
         verify_face_alternation(ORTHANT2, 5, CFG)
 
 
+def _classes(parts):
+    """The congruence classes of parts, as lists of indices, in the order
+    of their first members."""
+    classes = {}
+    for i, p in enumerate(parts):
+        classes.setdefault(congruence_key(p), []).append(i)
+    return list(classes.values())
+
+
 @pytest.mark.parametrize("name", ["orthant-3d", "square-cone-3d", "wedge-45", "plane-3d"])
 def test_face_sum_checks_match_reference(name):
     # the four face-sum checks are one relation,
     # sum_k (-1)^k phi_k v_k(C) = sum_F (-1)^dim F sum_k phi_k v_k(F),
-    # with face i of C sampled at sub-seed (tag, i)
+    # with one estimate per class of n congruent faces: the class's first
+    # face i sampled at sub-seed (tag, i), weight n, standard error n se
     c = dict(build_cones())[name]
     cfg = SampleConfig(n_samples=4000, seed=31)
+    faces = face_lattice(c).faces
+    classes = _classes(faces)
 
     def reference(phi, tag):
-        lhs = rhs = 0.0
-        for i, f in enumerate(face_lattice(c).faces):
+        lhs = rhs = residual = 0.0
+        ses = []
+        for members in classes:
+            i, n = members[0], len(members)
+            f = faces[i]
             e = estimate_iv(f.cone, replace(cfg, seed=derive_seed(cfg.seed, tag, i)))
-            rhs += (-1) ** f.dim * sum(p * v for p, v in zip(phi, e.values))
+            w = n * (-1) ** f.dim
+            rhs += w * sum(p * v for p, v in zip(phi, e.values))
+            coeffs = [-w * p for p in phi]
             if f.cone == c:
-                lhs = sum((-1) ** k * p * v for k, (p, v) in enumerate(zip(phi, e.values)))
-        return lhs, rhs
+                assert n == 1
+                alt = [(-1) ** k * p for k, p in enumerate(phi)]
+                lhs = sum(a * v for a, v in zip(alt, e.values))
+                coeffs = [a + cf for a, cf in zip(alt, coeffs)]
+            residual += sum(cf * v for cf, v in zip(coeffs, e.values))
+            ses.append(identities._functional_se(e, coeffs))
+        z = abs(residual) / max(math.sqrt(sum(s * s for s in ses)), 1 / cfg.n_samples)
+        return lhs, rhs, z
 
     d = c.d
     checks = [(verify_face_alternation(c, k, cfg), [int(i == k) for i in range(d + 1)], 3)
@@ -134,8 +158,15 @@ def test_face_sum_checks_match_reference(name):
     else:
         checks.append((r, [1] + [0] * d, 1))
     for r, phi, tag in checks:
-        assert (r.lhs, r.rhs) == reference(phi, tag), r.identity
+        lhs, rhs, z = reference(phi, tag)
+        assert (r.lhs, r.rhs) == (lhs, rhs), r.identity
+        assert r.residual_or_z == pytest.approx(z, rel=1e-12), r.identity
+        assert r.notes == f"{len(faces)} faces, {len(classes)} estimates"
         assert r.passed, r.identity
+    if name == "orthant-3d":
+        # {0}, three rays, three quadrants and C: the rays and the quadrants
+        # are one class each
+        assert [len(m) for m in classes] == [1, 3, 3, 1]
 
 
 def test_gauss_bonnet():
@@ -351,33 +382,80 @@ def test_family_statdim():
     assert verify_family_statdim("bc", 1, SampleConfig(n_samples=25_000, seed=15)).passed
 
 
+def test_family_statdim_rejects_a_family_before_enumerating_regions(monkeypatch, capsys):
+    # the d family has no closed form; the check must say so without
+    # enumerating the regions of d:6
+    def no_regions(*args, **kwargs):
+        raise AssertionError("regions_j called")
+
+    monkeypatch.setattr(identities, "regions_j", no_regions)
+    with pytest.raises(ValueError, match="braid and bc only"):
+        verify_family_statdim("d", 5, CFG)
+    from conevol import cli
+    assert cli.main(["verify", "family-statdim", "--family", "d", "--j", "5"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_region_checks_draw_region_i_at_its_sub_seed():
-    # Klivans-Swartz, Hug-Schneider and family-statdim estimate region i at
-    # sub-seed (*tags, i); their sides are recomputed here region by region
+    # Klivans-Swartz, Hug-Schneider and family-statdim draw one estimate per
+    # class of n congruent regions, the class's first region i at sub-seed
+    # (*tags, i), with weight n and standard error n se; their sides and
+    # z are recomputed here class by class
     cfg = SampleConfig(n_samples=2000, seed=31)
 
     def estimates(regs, *tags):
-        return [estimate_iv(reg.cone, replace(cfg, seed=derive_seed(cfg.seed, *tags, i)))
-                for i, reg in enumerate(regs)]
+        cones = [reg.cone for reg in regs]
+        return [(len(m), estimate_iv(cones[m[0]],
+                                     replace(cfg, seed=derive_seed(cfg.seed, *tags, m[0]))))
+                for m in _classes(cones)]
 
     def sums(ests, d):
         out = [0.0] * (d + 1)
-        for e in ests:
+        var = [0.0] * (d + 1)
+        for n, e in ests:
             for k in range(d + 1):
-                out[k] += e.values[k]
-        return out
+                out[k] += n * e.values[k]
+                var[k] += (n * e.std_errors[k]) ** 2
+        return out, var
+
+    def z(diff, var):
+        return abs(diff) / max(math.sqrt(var), 1 / cfg.n_samples)
 
     braid3 = named_family("braid", 3)
     ests = estimates(regions_j(braid3, 2), 23, 2)
-    assert verify_klivans_swartz(braid3, 2, cfg).lhs == [round(s, 6) for s in sums(ests, 3)[:3]]
+    out, var = sums(ests, 3)
+    r = verify_klivans_swartz(braid3, 2, cfg)
+    assert r.lhs == [round(s, 6) for s in out[:3]]
+    assert r.residual_or_z == pytest.approx(
+        max(z(out[k] - r.rhs[k], var[k]) for k in range(3)), rel=1e-12)
+    assert r.notes == f"{len(regions_j(braid3, 2))} regions, {len(ests)} estimates"
+    # the six 2-regions of braid:3, each a ray plus the lineality line, are
+    # one class
+    assert [n for n, _ in ests] == [6]
+
     regs = chambers(named_family("generic", 2, n=3, seed=derive_seed(cfg.seed, 24)))
     ests = estimates(regs, 25)
-    assert verify_hug_schneider(3, 2, cfg).lhs == [round(s / len(regs), 6) for s in sums(ests, 2)]
+    out, var = sums(ests, 2)
+    r = verify_hug_schneider(3, 2, cfg)
+    assert r.lhs == [round(s / len(regs), 6) for s in out]
+    assert r.notes == f"{len(regs)} chambers, {len(ests)} estimates"
+    # a chamber and its opposite are congruent, so generic classes have
+    # size 2, and no two different chambers of this arrangement are
+    assert [n for n, _ in ests] == [2, 2, 2]
+
     regs = regions_j(named_family("bc", 2), 1)
-    total = 0.0
-    for e in estimates(regs, 26):
-        total += sum(k * v for k, v in enumerate(e.values))
-    assert verify_family_statdim("bc", 1, cfg).lhs == total / len(regs)
+    ests = estimates(regs, 26)
+    total = var = 0.0
+    for n, e in ests:
+        total += n * sum(k * v for k, v in enumerate(e.values))
+        var += identities._functional_se(e, [n * k for k in range(3)]) ** 2
+    r = verify_family_statdim("bc", 1, cfg)
+    assert r.lhs == total / len(regs)
+    assert r.residual_or_z == pytest.approx(
+        z(r.lhs - r.rhs, var / len(regs) ** 2), rel=1e-12)
+    # a ray is congruent to every other ray: the eight rays of bc:2 are one
+    # class
+    assert [n for n, _ in ests] == [8]
 
 
 def test_rationalize_matrix_accuracy():
