@@ -8,7 +8,6 @@ from .arrangement import (
     IntersectionLattice,
     Polynomial,
     Region,
-    arrangement,
     bivariate_poly,
     char_poly,
     chambers,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .cone import Cone, InvariantViolation, _json_dim, matrix_to_json
+from .cone import Cone, InvariantViolation, _json_dim, _json_object, matrix_to_json
 from .exactlin import (
     Mat,
     Subspace,
@@ -793,7 +793,7 @@ def arrangement_to_json(a: Arrangement) -> dict:
 
 
 def arrangement_from_json(obj: dict) -> Arrangement:
-    if "d" not in obj or "normals" not in obj:
+    if "d" not in _json_object(obj, "arrangement") or "normals" not in obj:
         raise ValueError("arrangement JSON requires 'd' and 'normals'")
     return arrangement(obj["normals"], _json_dim(obj["d"]))
 

@@ -20,11 +20,14 @@ held by the face.  The normal face F -> C° ∩ lin(F)^perp swaps the two
 index sets, as `polar` swaps the two representations, because the polar's
 generators are the parent's inequalities in order.
 
-A cone is built from one double description, `exactlin._dd`, and
-incidence: input rows tight on every extreme ray are equalities, and the
-others with maximal zero sets on the rays are facets (`exactlin._maximal`,
-as for chambers); on the polar, the same rule finds the extreme rays.  A
-face cone runs no DD.  Rational input is parsed once, by the constructors;
+A DD, `exactlin._dd`, runs only where one representation is unknown: the
+two constructors, `intersect`, Minkowski sums, tangent and rotated cones,
+and strict feasibility.  The rest is read from incidence: input rows tight
+on every extreme ray are equalities, and the others with maximal zero sets
+on the rays are facets (`exactlin._maximal`, as for chambers); on the
+polar, the same rule finds the extreme rays.  Face cones, products,
+coordinate factors and pointed parts are assembled from rows the cone
+holds, with no DD.  Rational input is parsed once, by the constructors;
 the JSON wire format writes the equalities and the lineality as their
 ``Fraction`` RREF (`Subspace.rref`), so files are the same whatever the
 stored scale.
@@ -279,13 +282,14 @@ def normal_face(c: Cone, f: Face) -> Face:
 
 
 def canonical_decomposition(c: Cone) -> tuple[Subspace, Cone]:
-    """Split C = L + C/L with L the lineality space and C/L pointed."""
+    """Split C = L + C/L with L the lineality space and C/L pointed: C/L is
+    C ∩ L^perp, generated by C's generators projected onto L^perp."""
     lin = c.lineality
     if lin.dim == 0:
         return lin, c
-    # C/L is C ∩ L^perp: the same inequalities, with lin(C) cut out
-    eqs = c.equalities + lin.basis
-    return lin, _from_incidence(c.inequalities, eqs, *_dd(c.inequalities, eqs, c.d), c.d)
+    rays = _canon_rays(_perp_rows(c.generators, lin), [])
+    return lin, _from_incidence(c.inequalities, c.equalities + lin.basis, rays,
+                                Subspace(c.d, ()), c.d)
 
 
 def intersect(c: Cone, other: Cone) -> Cone:
@@ -307,13 +311,39 @@ def minkowski_sum(c: Cone, other: Cone) -> Cone:
 
 
 def product(c: Cone, other: Cone) -> Cone:
-    """Direct product C x D in R^(d_C + d_D) (block coordinates)."""
+    """Direct product C x D in R^(d_C + d_D), the inverse of
+    `coordinate_factors`: the factors' canonical rows padded, generators
+    and inequalities merged in order, the echelons concatenated."""
     d = c.d + other.d
-    pad_l = lambda v: v + (0,) * other.d
-    pad_r = lambda v: (0,) * c.d + v
-    gens = [pad_l(g) for g in c.generators] + [pad_r(g) for g in other.generators]
-    lin = [pad_l(v) for v in c.lineality.basis] + [pad_r(v) for v in other.lineality.basis]
-    return cone_from_generators(gens, lin, d)
+
+    def both(left, right):
+        return [r + (0,) * other.d for r in left] + [(0,) * c.d + r for r in right]
+
+    return Cone(d=d, inequalities=tuple(sorted(both(c.inequalities, other.inequalities))),
+                equalities=tuple(both(c.equalities, other.equalities)),
+                generators=tuple(sorted(both(c.generators, other.generators))),
+                lineality=Subspace(d, tuple(both(c.lineality.basis, other.lineality.basis))))
+
+
+def coordinate_factors(c: Cone) -> list[tuple[tuple[int, ...], Cone]]:
+    """C's finest split into a product of cones on blocks of coordinates:
+    (columns, factor) per block, by first column; one block of every
+    coordinate when C does not split.  A product's canonical rows each lie
+    in one block, so a factor's rows are C's rows on its block, restricted."""
+    label = list(range(c.d))  # the least coordinate of each coordinate's block
+    for row in c.generators + c.lineality.basis:
+        joined = {label[i] for i, x in enumerate(row) if x}
+        label = [min(joined) if b in joined else b for b in label]
+
+    def factor(cols):
+        def on(rows):
+            return tuple(tuple(r[i] for i in cols) for r in rows if any(r[i] for i in cols))
+        return Cone(d=len(cols), inequalities=on(c.inequalities), equalities=on(c.equalities),
+                    generators=on(c.generators),
+                    lineality=Subspace(len(cols), on(c.lineality.basis)))
+
+    blocks = [tuple(i for i in range(c.d) if label[i] == b) for b in sorted(set(label))]
+    return [(cols, factor(cols)) for cols in blocks]
 
 
 def farkas_check(c: Cone, l: Subspace) -> bool:
@@ -501,9 +531,16 @@ def _json_dim(d) -> int:
     return d
 
 
+def _json_object(obj, what: str) -> dict:
+    """The top-level value of an input file, which must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    return obj
+
+
 def cone_from_json(obj: dict) -> Cone:
     """Build a cone from its JSON form; exactly one representation given."""
-    if "d" not in obj:
+    if "d" not in _json_object(obj, "cone"):
         raise ValueError("cone JSON requires the ambient dimension 'd'")
     d = _json_dim(obj["d"])
     has_h = "inequalities" in obj or "equalities" in obj

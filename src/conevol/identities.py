@@ -386,12 +386,12 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
                 tangents[a, b], normals[a, b] = tangent_cone(f, g), normal_face(f, g).cone
 
     def angles(cones, tag):
-        # an angle depends on its face pair and sub-seed only, so one
-        # estimate serves every relation it enters
+        # one estimate per angle serves every relation it enters: within a
+        # relation the two factors of a term are different cones and the
+        # terms read different face pairs, so each term's SE stays valid
         return {ab: solid_angle_se(k, _sub_cfg(cfg, tag, *ab)) for ab, k in cones.items()}
 
-    beta_lo, gamma_hi = angles(tangents, 8), angles(normals, 9)
-    gamma_lo, beta_hi = angles(normals, 10), angles(tangents, 11)
+    beta, gamma = angles(tangents, 8), angles(normals, 9)
     worst = 0.0
     n_rel = 0
     for gi, g in enumerate(fl.faces):
@@ -404,10 +404,10 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
             for fi, f in enumerate(fl.faces):
                 if not (fl.leq(gi, fi) and fl.leq(fi, ki)):
                     continue
-                beta_gf, se_bgf = beta_lo[gi, fi]
-                gamma_fk, se_gfk = gamma_hi[fi, ki]
-                gamma_gf, se_ggf = gamma_lo[gi, fi]
-                beta_fk, se_bfk = beta_hi[fi, ki]
+                beta_gf, se_bgf = beta[gi, fi]
+                gamma_fk, se_gfk = gamma[fi, ki]
+                gamma_gf, se_ggf = gamma[gi, fi]
+                beta_fk, se_bfk = beta[fi, ki]
                 s1 += (-1) ** (f.dim - g.dim) * beta_gf * gamma_fk
                 s2 += (-1) ** (k.dim - f.dim) * gamma_gf * beta_fk
                 ses1.append(_quad(beta_gf * se_gfk, gamma_fk * se_bgf))

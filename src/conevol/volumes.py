@@ -10,8 +10,9 @@ space — the unique face F with the sample's span-projection in relint(F)
 and the residual in the normal face — by one matmul per bounded chunk of
 rows, which identifies the metric projection onto the cone and the face
 dimension to tally.  A cone that splits into coordinate blocks, C = C_1 x
-... x C_k, has its faces and Moreau projection split the same way, so it
-may instead be compiled as one kernel per block, each locating the draw's
+... x C_k (`cone.coordinate_factors`, which reads the factors off C's rows),
+has its faces and Moreau projection split the same way, so it may
+instead be compiled as one kernel per block, each locating the draw's
 own columns, with an exact table from tuples of block faces to the cone's
 faces: its cost is the sum of the blocks' face counts, not their product.
 A cost rule picks that path when the blocks' margin rows, plus a fixed
@@ -37,6 +38,9 @@ ambient basis, U = I without the multiplication, so its draws, faces,
 margins and |P g|^2 are those of the ambient kernel bit for bit.
 `moreau_project` and Crofton's line test take their ambient points into U
 before they classify.
+
+Closed forms.  The class `exact_iv` recognizes is closed under polarity,
+so it has no polar route: a cone is recognized exactly when its polar is.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cone import Cone, Face, canonical_decomposition, face_lattice, polar
-from .cone import cone_from_generators, cone_from_inequalities, normal_face
+from .cone import Cone, Face, canonical_decomposition, coordinate_factors, face_lattice
+from .cone import cone_from_inequalities, normal_face
 from .exactlin import Subspace, dot, kernel
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
@@ -373,10 +377,10 @@ class ProductKernel(ProjectionKernel):
     factor reading its own coordinates.
     """
 
-    def __init__(self, c: Cone, blocks, factors):
+    def __init__(self, c: Cone, parts):
         lattice = face_lattice(c)
         # equal factors share one kernel: every factor is alive here
-        self._factors = [(np.array(cols), _kernel_for(f)) for cols, f in zip(blocks, factors)]
+        self._factors = [(np.array(cols), _kernel_for(f)) for cols, f in parts]
         # per factor of the pass: its columns of a draw and its kernel
         self._reads = [(cols, k) for cols, k in self._factors if len(k.face_dims) > 1]
         basis = None
@@ -390,7 +394,7 @@ class ProductKernel(ProjectionKernel):
         self._frame(c, lattice, basis)
         index = {f.gen_mask: j for j, f in enumerate(lattice.faces)}
         masks = [0]  # generator mask of C's face, per mixed-radix code
-        for cols, factor in zip(blocks, factors):
+        for cols, factor in parts:
             own = [(i, tuple(r[k] for k in cols)) for i, r in enumerate(c.generators)
                    if any(r[k] for k in cols)]
             # a generator of C in this block lies in a face of the factor
@@ -527,13 +531,11 @@ def _compile(c: Cone) -> ProjectionKernel:
     has at least two coordinate blocks with more than one face whose margin
     rows, plus _BLOCK_CALL_ROWS for each block's call, are fewer than the
     full kernel's rows; else a `ProjectionKernel`."""
-    blocks = _coordinate_blocks(c)
-    if blocks is not None:
-        factors = [_restrict_to_coords(c, cols) for cols in blocks]
-        drawn = [f for f in factors if not f.is_subspace]
-        if len(drawn) > 1 and (sum(_margin_rows(f) + _BLOCK_CALL_ROWS for f in drawn)
-                               < _margin_rows(c)):
-            return ProductKernel(c, blocks, factors)
+    parts = coordinate_factors(c)
+    drawn = [f for _, f in parts if not f.is_subspace]
+    if len(drawn) > 1 and (sum(_margin_rows(f) + _BLOCK_CALL_ROWS for f in drawn)
+                           < _margin_rows(c)):
+        return ProductKernel(c, parts)
     return ProjectionKernel(c, _own_basis(c))
 
 
@@ -640,26 +642,25 @@ def _functional_stats(kern: ProjectionKernel, cfg: SampleConfig, funcs, stream: 
 
 
 def exact_iv(c: Cone) -> IVExact | None:
-    """Closed-form intrinsic volumes for recognized cone classes.
+    """Closed-form intrinsic volumes for recognized cone classes, or None.
 
-    Recognized: linear subspaces; cones with lineality (shift of the
-    pointed part); coordinate-block products, which include every orthant
-    up to signed permutation in R^d for d >= 2; rays and planar
-    (2-dimensional pointed) cones by arc measure, provenance
-    "planar-angle", which covers the orthant ±e_1 of R^1; and polars of
-    recognized cones.  Returns None when unrecognized.
+    Recognized: linear subspaces; L + a recognized pointed part (its
+    volumes shifted by dim L); coordinate products of recognized factors
+    (`coordinate_factors`), which include every orthant up to signed
+    permutation in R^d for d >= 2; rays and planar (2-dimensional pointed)
+    cones by arc measure, provenance "planar-angle", which covers the
+    orthant ±e_1 of R^1.  The class is closed under polarity, so there is
+    no polar route: C°'s pointed part is the polar of C's pointed part K
+    within span(K), and that polar of {0}, a ray, a planar cone or,
+    factor by factor, a product of such is again one.
     """
-    return _exact_iv(c, allow_polar=True)
-
-
-def _exact_iv(c: Cone, allow_polar: bool) -> IVExact | None:
     if c.is_subspace:
         vals = [Fraction(0)] * (c.d + 1)
         vals[c.dim] = Fraction(1)
         return IVExact(c.d, tuple(vals), "subspace")
     if c.lineality_dim > 0:
         _, pointed = canonical_decomposition(c)
-        sub = _exact_iv(pointed, allow_polar)
+        sub = exact_iv(pointed)
         if sub is None:
             return None
         vals = [Fraction(0)] * (c.d + 1)
@@ -667,12 +668,11 @@ def _exact_iv(c: Cone, allow_polar: bool) -> IVExact | None:
             if k + c.lineality_dim <= c.d and v != 0:
                 vals[k + c.lineality_dim] = v
         return IVExact(c.d, tuple(vals), "product")
-    blocks = _coordinate_blocks(c)
-    if blocks is not None:
+    parts = coordinate_factors(c)
+    if len(parts) > 1:
         acc = (Fraction(1),)
-        for cols in blocks:
-            factor = _restrict_to_coords(c, cols)
-            sub = _exact_iv(factor, allow_polar)
+        for _, factor in parts:
+            sub = exact_iv(factor)
             if sub is None:
                 return None
             acc = _convolve(acc, sub.values)
@@ -695,50 +695,7 @@ def _exact_iv(c: Cone, allow_polar: bool) -> IVExact | None:
         vals[1] = 0.5
         vals[2] = v2
         return IVExact(c.d, tuple(vals), "planar-angle")
-    if allow_polar:
-        sub = _exact_iv(polar(c), allow_polar=False)
-        if sub is not None:
-            return IVExact(c.d, tuple(reversed(sub.values)), "polar")
     return None
-
-
-def _coordinate_blocks(c: Cone):
-    parent = list(range(c.d))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
-    for row in c.generators + c.lineality.basis:
-        support = [i for i, x in enumerate(row) if x != 0]
-        for a, b in zip(support, support[1:]):
-            union(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(c.d):
-        groups.setdefault(find(i), []).append(i)
-    blocks = sorted(groups.values())
-    if len(blocks) <= 1:
-        return None
-    return blocks
-
-
-def _restrict_to_coords(c: Cone, cols) -> Cone:
-    gens = [
-        tuple(g[i] for i in cols)
-        for g in c.generators
-        if any(g[i] != 0 for i in cols)
-    ]
-    lin = [
-        tuple(v[i] for i in cols)
-        for v in c.lineality.basis
-        if any(v[i] != 0 for i in cols)
-    ]
-    return cone_from_generators(gens, lin, len(cols))
 
 
 def _convolve(a, b):

@@ -1,9 +1,8 @@
 import gc
-import importlib
 import itertools
 import json
 import random
-import sys
+import types
 import weakref
 from fractions import Fraction as F
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conevol.arrangement as arr_module
 from conevol import cli
 from conevol.arrangement import (
     Arrangement,
@@ -285,7 +285,6 @@ def test_regions_j_matches_two_step_reference():
 
 
 def test_one_chamber_insertion_per_distinct_restriction(monkeypatch):
-    arr_module = importlib.import_module("conevol.arrangement")
     real = arr_module._restricted_chambers
     calls = []
     monkeypatch.setattr(arr_module, "_restricted_chambers",
@@ -313,9 +312,13 @@ def test_one_chamber_insertion_per_distinct_restriction(monkeypatch):
     assert len(calls) == 1
 
 
+def test_arrangement_names_the_submodule():
+    # the package re-exports no `arrangement` function over its submodule
+    assert isinstance(arr_module, types.ModuleType)
+    assert arr_module.arrangement is arrangement
+
+
 def test_regions_build_cones_on_first_read(monkeypatch, capsys):
-    # `conevol.arrangement` names the re-exported function, not the module
-    arr_module = sys.modules["conevol.arrangement"]
     real_facets, real_cone = arr_module._facets, arr_module.Cone
     facet_calls, cone_builds = [], []
     monkeypatch.setattr(arr_module, "_facets",

@@ -97,6 +97,16 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
         bad.write_text(json.dumps(obj))
         code, out, err = run_main(capsys, verb, str(bad))
         assert code == 2 and "error" in err and out == "", (verb, obj)
+    # a top-level value that is not an object is rejected by its type, in
+    # every verb that reads a cone or an arrangement file
+    for text, kind in (("null", "NoneType"), ('"d"', "str"), ('["d"]', "list"),
+                       ('["d", "normals"]', "list")):
+        bad.write_text(text)
+        for argv in (["cone-info", str(bad)], ["cone-iv", str(bad)], ["arr-chi", str(bad)],
+                     ["verify", "kinematic", str(bad), str(bad)]):
+            code, out, err = run_main(capsys, *argv)
+            assert code == 2 and f"must be an object, got {kind}" in err and out == "", (
+                argv, text, err)
     # a row or a field that is not a list is rejected by the field's name; a
     # string row is not read digit by digit
     for verb, obj, name in (

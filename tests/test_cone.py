@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 import random
 import time
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from conevol.cone import (
     cone_from_json,
     cone_to_json,
     congruence_key,
+    coordinate_factors,
     face_lattice,
     farkas_check,
     intersect,
@@ -401,10 +404,10 @@ def test_catalog_fields_are_int_rows():
 
 
 @st.composite
-def _small_cone_inputs(draw):
+def _small_cone_inputs(draw, max_d=5):
     # drawn rows, then negated, scaled and summed copies of earlier ones, so
     # the incidence rule meets implicit equalities, parallel and redundant rows
-    d = draw(st.integers(min_value=1, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=max_d))
     row = st.lists(st.integers(min_value=-3, max_value=3), min_size=d, max_size=d)
     rows = draw(st.lists(row.filter(any), max_size=d + 2))
     for _ in range(draw(st.integers(min_value=0, max_value=d if rows else 0))):
@@ -500,7 +503,8 @@ def test_face_lattice_builds_no_face_cone(monkeypatch):
 
 def test_one_double_description_per_cone(monkeypatch):
     # facets and extreme rays are read from incidence, so a constructor runs
-    # one DD and a face cone none
+    # one DD and a face cone none; products, their factors and pointed parts
+    # are assembled from rows the cones already hold, so they run none
     calls = []
     real = cone_module._dd
     monkeypatch.setattr(cone_module, "_dd", lambda *a: calls.append(a) or real(*a))
@@ -514,13 +518,95 @@ def test_one_double_description_per_cone(monkeypatch):
     assert n == 1 and half.lineality_dim == 2
     n, c = runs(lambda: cone_from_generators(SQUARE.generators, [], 3))
     assert n == 1 and c == SQUARE
-    for build in (lambda: intersect(SQUARE, half), lambda: minkowski_sum(SQUARE, half),
-                  lambda: canonical_decomposition(half), lambda: product(ORTHANT2, SQUARE)):
+    for build in (lambda: intersect(SQUARE, half), lambda: minkowski_sum(SQUARE, half)):
         assert runs(build)[0] == 1
+    for build in (lambda: canonical_decomposition(half), lambda: product(ORTHANT2, SQUARE),
+                  lambda: coordinate_factors(product(ORTHANT2, half))):
+        assert runs(build)[0] == 0
     for k in (SQUARE, half, minkowski_sum(SQUARE, half)):
         fresh = cone_from_inequalities(k.inequalities, 3, k.equalities)
         faces = face_lattice(fresh).faces
         assert runs(lambda: [f.cone for f in faces])[0] == 0
+
+
+@st.composite
+def _small_cones(draw, max_d):
+    """A cone of `_small_cone_inputs` in at most R^max_d, built from its
+    H-representation, the second list its equalities, or from its
+    V-representation, the second list its lineality."""
+    d, rows, extra = draw(_small_cone_inputs(max_d))
+    if draw(st.booleans()):
+        return cone_from_inequalities(rows, d, extra)
+    return cone_from_generators(rows, extra, d)
+
+
+def _moved(c, order):
+    """c with coordinate order[i] moved to position i, by one DD."""
+    def rows(vs):
+        return [[v[i] for i in order] for v in vs]
+    return cone_from_generators(rows(c.generators), rows(c.lineality.basis), c.d)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_small_cones(3), _small_cones(2), st.randoms(use_true_random=False))
+def test_assembled_cones_match_double_description(a, b, rnd):
+    # products, coordinate factors and pointed parts are assembled from the
+    # rows a cone holds; each equals the cone one DD builds from the padded,
+    # restricted or projected rows
+    d = a.d + b.d
+
+    def padded(rows_a, rows_b):
+        return [r + (0,) * b.d for r in rows_a] + [(0,) * a.d + r for r in rows_b]
+
+    p = product(a, b)
+    assert p == cone_from_generators(padded(a.generators, b.generators),
+                                     padded(a.lineality.basis, b.lineality.basis), d)
+    order = list(range(d))
+    rnd.shuffle(order)
+    moved = _moved(p, order)
+    for c in (a, b, p, moved, polar(moved)):
+        parts = coordinate_factors(c)
+        assert sorted(i for cols, _ in parts for i in cols) == list(range(c.d))
+        for cols, f in parts:
+            def on(rows):
+                return [[r[i] for i in cols] for r in rows if any(r[i] for i in cols)]
+            assert f == cone_from_generators(on(c.generators), on(c.lineality.basis), len(cols))
+        lin, pointed = canonical_decomposition(c)
+        projected = [oracle.project_off(lin.rref, g) for g in c.generators]
+        assert lin == c.lineality and pointed == cone_from_generators(projected, (), c.d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_cones(3), _small_cones(2))
+def test_split_inverts_product(a, b):
+    # the split of C x D is C's factors, then D's on the shifted columns
+    shifted = [(tuple(i + a.d for i in cols), f) for cols, f in coordinate_factors(b)]
+    assert coordinate_factors(product(a, b)) == coordinate_factors(a) + shifted
+    # the product of a cone's factors is the cone, coordinates in block order
+    for c in (a, b):
+        parts = coordinate_factors(c)
+        assert functools.reduce(product, [f for _, f in parts]) == _moved(
+            c, [i for cols, _ in parts for i in cols])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_small_cones(3), _small_cones(2), st.randoms(use_true_random=False))
+def test_exact_iv_class_is_closed_under_polarity(a, b, rnd):
+    # exact_iv has no polar route: it recognizes C exactly when it
+    # recognizes C°, with the values reversed, exactly for Fractions and
+    # within 1e-12 where a planar angle enters as a float
+    order = list(range(a.d + b.d))
+    rnd.shuffle(order)
+    for c in (a, b, _moved(product(a, b), order)):
+        ex, ex_polar = exact_iv(c), exact_iv(polar(c))
+        assert (ex is None) == (ex_polar is None), c
+        if ex is None:
+            continue
+        back = tuple(reversed(ex_polar.values))
+        if all(type(v) is Fraction for v in ex.values + back):
+            assert ex.values == back, c
+        else:
+            assert max(abs(float(x) - float(y)) for x, y in zip(ex.values, back)) <= 1e-12, c
 
 
 def test_large_cone_round_trips():

@@ -307,8 +307,8 @@ def test_crofton_line_rule_matches_slack_oracle():
 
 
 def test_mcmullen_estimates_each_angle_once(monkeypatch):
-    # beta(G,F), gamma(F,K), gamma(G,F) and beta(F,K) depend on their face
-    # pair and sub-seed only, so each is computed once per pair a <= b
+    # beta and gamma are each estimated once per face pair a <= b, and that
+    # estimate serves both relations
     seeds = []
     real = identities.solid_angle_se
 
@@ -322,7 +322,7 @@ def test_mcmullen_estimates_each_angle_once(monkeypatch):
     n = len(fl.faces)
     pairs = sum(fl.leq(a, b) for a in range(n) for b in range(n))
     verify_mcmullen_inverse(c, SampleConfig(n_samples=500, seed=0))
-    assert len(seeds) == 4 * pairs == 140
+    assert len(seeds) == 2 * pairs == 70
     assert len(set(seeds)) == len(seeds)  # one sub-seed per angle
 
 

@@ -17,6 +17,7 @@ from conevol.catalog import build_arrangements, build_cones
 from conevol.cone import (
     cone_from_generators,
     cone_from_inequalities,
+    coordinate_factors,
     face_lattice,
     polar,
     product,
@@ -709,8 +710,7 @@ def _product_cones(draw):
 def _product_kernel(c):
     """c's kernel over its coordinate blocks, whatever the cost rule says;
     a cone with none is one block of every coordinate."""
-    blocks = volumes._coordinate_blocks(c) or [list(range(c.d))]
-    return ProductKernel(c, blocks, [volumes._restrict_to_coords(c, b) for b in blocks])
+    return ProductKernel(c, coordinate_factors(c))
 
 
 def _assert_product_matches_full(c, g):
