@@ -20,11 +20,26 @@ face-alternation, statdim-alternation and genfun-alternation checks call
 with the functionals e_0, e_k, (k) and (e^{tk}); `_rotation_mean` is the
 Haar-rotation loop of the kinematic and polar-kinematic checks; and
 `_class_estimates` is the one loop over faces or regions, for those four
-checks and for Klivans-Swartz, Hug-Schneider and family-statdim.  It draws
-one estimate per class of congruent cones (`cone.congruence_key`), the
-class's first member i at sub-seed (*tags, i), and the class enters its
-sum with weight n and standard error n se: congruent cones have equal
-intrinsic volumes, and the members share one estimate.  Every
+checks and for Klivans-Swartz, Hug-Schneider and family-statdim.  It reads
+one estimate per class of congruent cones (`cone.congruence_key`) from an
+`EstimateStore`, and the class enters its sum with weight n and standard
+error n se: congruent cones have equal intrinsic volumes, and the members
+share one estimate.
+
+The store holds one estimate per (congruence class, n_samples, workers)
+in a run, drawn on first use at a sub-seed derived from the store's seed
+and a digest of the key, so an entry does not depend on which check asked
+first.  `run_suite` makes one store and hands it to `_class_estimates`'s
+checks, to Gauss-Bonnet and to route 1 of statdim-consistency; a check
+called on its own makes a fresh store at its cfg.seed.  Reports that read
+one entry are correlated, which the suite's Bonferroni bound allows.  The
+other checks keep their own sub-seeds: generalized Sommerville reads face
+hit counts by lattice position, which congruent cones need not share;
+McMullen's products need independent factors, and a tangent and a normal
+cone of one term can be congruent; each Haar rotation's cone is distinct,
+so keying it would only add cost; and route 2 of statdim-consistency, the
+product sides and the Steiner functionals are sampled by their own
+estimators.  Every
 Haar rotation comes from `_rotations`, which `_rotation_mean` and
 Crofton's general path iterate, and every sampled decision, Crofton's line
 hits included, is the projection kernel's acceptance rule in `volumes`.
@@ -38,6 +53,7 @@ grid, the t values of the suite's steiner-mgf checks and the CLI's default
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import asdict, dataclass, replace
@@ -64,6 +80,7 @@ from .cone import (
     Face,
     FaceLattice,
     cone_from_generators,
+    cone_to_json,
     congruence_key,
     face_lattice,
     intersect,
@@ -134,28 +151,67 @@ def _sub_cfg(cfg: SampleConfig, *tags: int) -> SampleConfig:
     return replace(cfg, seed=derive_seed(cfg.seed, *tags))
 
 
+# the derive_seed tag of an `EstimateStore` entry, after the key's digest words
+_STORE_TAG = 27
+
+
+class EstimateStore:
+    """One estimate per (congruence class, n_samples, workers) in a run.
+
+    Congruent cones have the same intrinsic volumes, so every check that
+    reads the store shares one estimate per class and budget.  An entry is
+    drawn once, at derive_seed(seed, 27, *the 32-bit words of the SHA-256 of
+    the key's canonical text), so it does not depend on which check asked
+    first, nor on Python's hash seed.  A cone past the congruence search
+    budget is keyed by its own canonical rows (`cone_to_json`); the store
+    holds digests and estimates only, so it keeps no cone or kernel alive."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._entries: dict[bytes, IVEstimate] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def estimate(self, part: Face | Cone, cfg: SampleConfig, key: tuple | None = None) -> IVEstimate:
+        """The entry of part's class at cfg's budget and workers, drawn on
+        first use; key is `congruence_key(part)` when the caller has it."""
+        *head, form = congruence_key(part) if key is None else key
+        if isinstance(form, Cone):
+            form = cone_to_json(form)
+        text = repr((*head, form, cfg.n_samples, cfg.workers))
+        digest = hashlib.sha256(text.encode()).digest()
+        est = self._entries.get(digest)
+        if est is None:
+            words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, len(digest), 4)]
+            seed = derive_seed(self.seed, _STORE_TAG, *words)
+            cone = part.cone if isinstance(part, Face) else part
+            est = estimate_iv(cone, replace(cfg, seed=seed))
+            self._entries[digest] = est
+        return est
+
+
+def _store_for(store: EstimateStore | None, cfg: SampleConfig) -> EstimateStore:
+    """The run's store, or a fresh one at cfg.seed for a check run alone."""
+    return EstimateStore(cfg.seed) if store is None else store
+
+
 def _class_estimates(parts, cfg: SampleConfig,
-                     *tags: int) -> list[tuple[Face | Cone, int, IVEstimate]]:
+                     store: EstimateStore) -> list[tuple[Face | Cone, int, IVEstimate]]:
     """One estimate per congruence class of the faces or cones in parts:
-    (the class's first member, the class size n, the estimate of that
-    member, parts[i], sampled at sub-seed (*tags, i)), in the order of
-    first members.
+    (the class's first member, the class size n, the store's entry for the
+    class), in the order of first members.
 
     Congruent cones have the same intrinsic volumes, so a class enters a sum
     with weight n and standard error n se; the members share one estimate,
-    so the error is not shrunk by sqrt(n).  A class of one is sampled as it
-    was alone, and `cone.congruence_key` keys a face without building its
-    cone, so only the representatives' cones are built."""
-    classes: dict[tuple, list[int]] = {}
-    for i, p in enumerate(parts):
-        classes.setdefault(congruence_key(p), []).append(i)
-    out = []
-    for members in classes.values():
-        i = members[0]
-        p = parts[i]
-        out.append((p, len(members),
-                    estimate_iv(p.cone if isinstance(p, Face) else p, _sub_cfg(cfg, *tags, i))))
-    return out
+    so the error is not shrunk by sqrt(n).  `cone.congruence_key` keys a
+    face without building its cone, so only cones that the store has not
+    seen are built."""
+    classes: dict[tuple, list] = {}
+    for p in parts:
+        classes.setdefault(congruence_key(p), []).append(p)
+    return [(members[0], len(members), store.estimate(members[0], cfg, key))
+            for key, members in classes.items()]
 
 
 def _class_note(count: int, what: str, estimates: int) -> str:
@@ -200,24 +256,23 @@ def verify_euler(c: Cone) -> VerificationReport:
 
 
 def _face_alternation(name: str, c: Cone, phi, cfg: SampleConfig,
-                      tag: int) -> VerificationReport:
+                      store: EstimateStore | None) -> VerificationReport:
     """The conic Sommerville relation at the functional phi:
     lhs = sum_k (-1)^k phi_k vhat_k(C) against
     rhs = sum over faces F of (-1)^dim F sum_k phi_k vhat_k(F), each class
-    of n congruent faces entering once with weight n (`_class_estimates`,
-    sub-seeds (tag, i)).  C is the one face of its dimension, so its class
-    is itself; its estimate enters the residual once, with net
-    coefficients."""
+    of n congruent faces entering once with weight n (`_class_estimates`).
+    C is the one face of its dimension, so its class is itself; its
+    estimate enters the residual once, with net coefficients."""
     alt = [(-1) ** k * p for k, p in enumerate(phi)]
     lhs = rhs = residual = 0.0
     ses = []
     faces = face_lattice(c).faces
-    classes = _class_estimates(faces, cfg, tag)
+    classes = _class_estimates(faces, cfg, _store_for(store, cfg))
     for f, n, e in classes:
         w = n * (-1) ** f.dim
         rhs += w * sum(p * v for p, v in zip(phi, e.values))
         coeffs = [-w * p for p in phi]
-        if f.cone == c:
+        if f.dim == c.dim:
             lhs = sum(a * v for a, v in zip(alt, e.values))
             coeffs = [a + cf for a, cf in zip(alt, coeffs)]
         residual += sum(cf * v for cf, v in zip(coeffs, e.values))
@@ -226,13 +281,14 @@ def _face_alternation(name: str, c: Cone, phi, cfg: SampleConfig,
                      notes=_class_note(len(faces), "faces", len(classes)))
 
 
-def verify_sommerville(c: Cone, cfg: SampleConfig) -> VerificationReport:
+def verify_sommerville(c: Cone, cfg: SampleConfig, *,
+                       store: EstimateStore | None = None) -> VerificationReport:
     """v_0(C) = sum over faces of (-1)^dim F v_0(F); both sides vanish
     when C contains a nonzero linear subspace."""
     if c.lineality_dim > 0:
         return _report_exact("sommerville", 0, 0.0, 0.0, seed=cfg.seed,
                              notes="lineality: both sides vanish exactly")
-    return _face_alternation("sommerville", c, [1] + [0] * c.d, cfg, tag=1)
+    return _face_alternation("sommerville", c, [1] + [0] * c.d, cfg, store)
 
 
 def _index_below(fl: FaceLattice, g: int, f: int) -> int:
@@ -268,20 +324,22 @@ def verify_generalized_sommerville(c: Cone, g: Face, cfg: SampleConfig) -> Verif
                      cfg, lhs, rhs, notes=f"G dim {g.dim}")
 
 
-def verify_face_alternation(c: Cone, k: int, cfg: SampleConfig) -> VerificationReport:
+def verify_face_alternation(c: Cone, k: int, cfg: SampleConfig, *,
+                            store: EstimateStore | None = None) -> VerificationReport:
     """(-1)^k v_k(C) = sum over faces of (-1)^dim F v_k(F)."""
     _check_index(k, c.d)
     phi = [0] * (c.d + 1)
     phi[k] = 1
-    return _face_alternation(f"face-alternation[k={k}]", c, phi, cfg, tag=3)
+    return _face_alternation(f"face-alternation[k={k}]", c, phi, cfg, store)
 
 
-def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
+def verify_gauss_bonnet(c: Cone, cfg: SampleConfig, *,
+                        store: EstimateStore | None = None) -> VerificationReport:
     """Alternating intrinsic volumes = alternating f-vector = case split."""
     fl = face_lattice(c)
     expected = (-1) ** c.dim if c.is_subspace else 0
     f_residual = fl.euler_sum - expected
-    est = estimate_iv(c, cfg)
+    est = _store_for(store, cfg).estimate(c, cfg)
     coeffs = [(-1) ** i for i in range(c.d + 1)]
     v_side = sum(cf * v for cf, v in zip(coeffs, est.values))
     z = _z(v_side - expected, _functional_se(est, coeffs), cfg.n_samples)
@@ -289,12 +347,14 @@ def verify_gauss_bonnet(c: Cone, cfg: SampleConfig) -> VerificationReport:
                      notes=f"f-side residual {f_residual} (exact)", ok=f_residual == 0)
 
 
-def verify_statdim_alternation(c: Cone, cfg: SampleConfig) -> VerificationReport:
+def verify_statdim_alternation(c: Cone, cfg: SampleConfig, *,
+                               store: EstimateStore | None = None) -> VerificationReport:
     """sum (-1)^k k v_k(C) = sum over faces of (-1)^dim F delta(F)."""
-    return _face_alternation("statdim-alternation", c, list(range(c.d + 1)), cfg, tag=4)
+    return _face_alternation("statdim-alternation", c, list(range(c.d + 1)), cfg, store)
 
 
-def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> VerificationReport:
+def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig, *,
+                              store: EstimateStore | None = None) -> VerificationReport:
     """E[(-1)^V e^{tV}] over C = sum over faces of (-1)^dim F E[e^{tV_F}]."""
     try:
         # the delta-method SE squares net weights of up to 2 e^{td}
@@ -302,13 +362,13 @@ def verify_genfun_alternation(c: Cone, t: float, cfg: SampleConfig) -> Verificat
         phi = [math.exp(t * k) for k in range(c.d + 1)]
     except OverflowError:
         raise ValueError(f"t = {t} overflows e^(2tk) for k <= {c.d}") from None
-    return _face_alternation(f"genfun-alternation[t={t}]", c, phi, cfg, tag=5)
+    return _face_alternation(f"genfun-alternation[t={t}]", c, phi, cfg, store)
 
 
 # ---------------------------------------------------------------------------
 # Steiner / moment identities
 
-STEINER_T_GRID = (-1.0, -0.5, 0.3)
+STEINER_T_GRID = (-1.0, -0.5, 0.1)
 
 
 def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport:
@@ -322,9 +382,11 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
     the same number as sum_k v_k e^{tk}.
 
     The SE comes from the sample variance of e^{s|P_C g|^2}, reliable only
-    where the fourth moment is finite, s < 1/8.  The t = 0.3 of
-    `STEINER_T_GRID` gives s ~ 0.226, which is why `tools/calibrate.py
-    --seeds 3 --samples 500` can fail seed 1002."""
+    where the fourth moment is finite, s < 1/8, that is t < ln(4/3)/2 ~
+    0.144.  Every point of `STEINER_T_GRID` lies below it (t = 0.1 gives
+    s ~ 0.091).  An explicit t in [ln(4/3)/2, ln 2/2) is still accepted,
+    but its SE is then unreliable and its z can run large under correct
+    code."""
     worst = 0.0
     details = []
     funcs = {"moment": lambda dims, pn2: pn2 - dims}
@@ -352,10 +414,12 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
                      notes="; ".join(details))
 
 
-def verify_statdim_consistency(c: Cone, cfg: SampleConfig) -> VerificationReport:
-    """Two routes to the statistical dimension: sum k vhat_k versus the
-    independently sampled mean squared projection norm."""
-    est = estimate_iv(c, _sub_cfg(cfg, 6))
+def verify_statdim_consistency(c: Cone, cfg: SampleConfig, *,
+                               store: EstimateStore | None = None) -> VerificationReport:
+    """Two routes to the statistical dimension: sum k vhat_k, from the
+    store's estimate of C, versus the mean squared projection norm, sampled
+    on its own at sub-seed 7 and stream 1."""
+    est = _store_for(store, cfg).estimate(c, cfg)
     route1 = sum(k * v for k, v in enumerate(est.values))
     se1 = _functional_se(est, range(c.d + 1))
     route2, se2 = statdim_mc(c, _sub_cfg(cfg, 7))
@@ -450,9 +514,9 @@ def _product_side(c: Cone, d_cone: Cone, coeffs, cfg: SampleConfig,
     return sum(cf * v for cf, v in zip(coeffs, est.values)), _functional_se(est, coeffs)
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+def _check_trials(trials: int, least: int = 1) -> None:
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials}")
 
 
 def _check_index(k: int, d: int) -> None:
@@ -471,9 +535,9 @@ def _rotations(d_cone: Cone, trials: int, seed: int, rng_tag: int):
 def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
                    cfg: SampleConfig, rng_tag: int, tag: int) -> tuple[float, float]:
     """Mean over the rotations QD of `_rotations` of vhat_index(combine(C, QD))
-    and its standard error; rotation t is sampled with cfg.n_samples draws
-    at sub-seed (tag, t)."""
-    _check_trials(trials)
+    and its standard error, the sample standard deviation (ddof 1) over
+    sqrt(trials); rotation t is sampled with cfg.n_samples draws at
+    sub-seed (tag, t)."""
     per_trial = []
     for t, rotated in enumerate(_rotations(d_cone, trials, cfg.seed, rng_tag)):
         cone = combine(c, rotated)
@@ -483,7 +547,7 @@ def _rotation_mean(c: Cone, d_cone: Cone, combine, index: int, trials: int,
         per_trial.append(estimate_iv(cone, _sub_cfg(cfg, tag, t)).values[index])
     n = trials * cfg.n_samples
     return (float(np.mean(per_trial)),
-            _floor_se(float(np.std(per_trial)) / math.sqrt(trials), n))
+            _floor_se(float(np.std(per_trial, ddof=1)) / math.sqrt(trials), n))
 
 
 def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
@@ -494,6 +558,7 @@ def verify_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
     _check_index(k, c.d)
+    _check_trials(trials, 2)  # the SE is a sample standard deviation over rotations
     d = c.d
     # v_{k+d}(C x D), or the total mass v_0 + ... + v_d at k = 0
     coeffs = [int(i == k + d if k > 0 else i <= d) for i in range(2 * d + 1)]
@@ -512,6 +577,7 @@ def verify_polar_kinematic(c: Cone, d_cone: Cone, k: int, trials: int,
     if c.d != d_cone.d:
         raise ValueError("ambient dimensions differ")
     _check_index(k, c.d)
+    _check_trials(trials, 2)  # the SE is a sample standard deviation over rotations
     d = c.d
     coeffs = [int(i == d - k) for i in range(2 * d + 1)]
     rhs, rhs_se = _product_side(c, d_cone, coeffs, cfg, 16)
@@ -628,13 +694,13 @@ def verify_finite_double_count(omega_size: int, m_set, n_set, group) -> Verifica
 
 
 def _region_iv_sums(cones, d: int, cfg: SampleConfig,
-                    *tags: int) -> tuple[list[float], list[float], int]:
+                    store: EstimateStore) -> tuple[list[float], list[float], int]:
     """Sums over the region cones of the estimated intrinsic volumes
     v_0..v_d and of their variances, one estimate per congruence class
     (`_class_estimates`), and the number of estimates drawn."""
     sums = [0.0] * (d + 1)
     variances = [0.0] * (d + 1)
-    classes = _class_estimates(cones, cfg, *tags)
+    classes = _class_estimates(cones, cfg, store)
     for _, n, est in classes:
         for k in range(d + 1):
             sums[k] += n * est.values[k]
@@ -653,12 +719,14 @@ def verify_zaslavsky(a: Arrangement) -> VerificationReport:
                          str(tuple(predicted)), notes=f"j = 0..{a.d}")
 
 
-def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig) -> VerificationReport:
+def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig, *,
+                          store: EstimateStore | None = None) -> VerificationReport:
     """sum over j-regions of vhat_k = (-1)^{j-k} a_{jk}, the coefficients of
     the level characteristic polynomial; includes sum v_j = ell_j at k = j."""
     chi = level_char_poly(a, j)
     regs = regions_j(a, j)
-    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], a.d, cfg, 23, j)
+    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], a.d, cfg,
+                                             _store_for(store, cfg))
     expected = [(-1) ** (j - k) * chi.coefficient(k) for k in range(j + 1)]
     worst = max(_z(sums[k] - expected[k], math.sqrt(variances[k]), cfg.n_samples)
                 for k in range(j + 1))
@@ -694,12 +762,14 @@ def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationR
                          seed=seed, notes=f"r_{j-1} slice: {r_got} vs {r_pred}")
 
 
-def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationReport:
+def verify_hug_schneider(n: int, d: int, cfg: SampleConfig, *,
+                         store: EstimateStore | None = None) -> VerificationReport:
     """Expected chamber intrinsic volumes of a verified-generic arrangement
     match the binomial closed form."""
     regs = chambers(named_family("generic", d, n=n, seed=derive_seed(cfg.seed, 24)))
     expected = cover_efron_expected_iv(n, d)
-    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], d, cfg, 25)
+    sums, variances, drawn = _region_iv_sums([r.cone for r in regs], d, cfg,
+                                             _store_for(store, cfg))
     r = len(regs)
     worst = max(_z(sums[k] / r - float(expected[k]), math.sqrt(variances[k]) / r,
                    cfg.n_samples) for k in range(d + 1))
@@ -708,7 +778,8 @@ def verify_hug_schneider(n: int, d: int, cfg: SampleConfig) -> VerificationRepor
                      notes=_class_note(r, "chambers", drawn))
 
 
-def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> VerificationReport:
+def verify_family_statdim(family: str, j: int, cfg: SampleConfig, *,
+                          store: EstimateStore | None = None) -> VerificationReport:
     """A uniform j-region of the braid (bc) family has expected statistical
     dimension H_j (H_j / 2); ambient dimension j + 1.  A family with no
     closed form is rejected before any region is enumerated."""
@@ -718,7 +789,7 @@ def verify_family_statdim(family: str, j: int, cfg: SampleConfig) -> Verificatio
     total = 0.0
     variances = []
     dims = list(range(d + 1))
-    classes = _class_estimates([r.cone for r in regs], cfg, 26)
+    classes = _class_estimates([r.cone for r in regs], cfg, _store_for(store, cfg))
     for _, n, est in classes:
         total += n * sum(k * v for k, v in zip(dims, est.values))
         variances.append(_functional_se(est, [n * k for k in dims]) ** 2)
@@ -740,9 +811,15 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     keeping the worst of m counted m times; the family-wise false-failure
     probability under correct code is below 1% (Bonferroni: 124 x 6.3e-5
     ~ 0.78%).  Exact checks carry no statistical risk.
+
+    One `EstimateStore` at cfg.seed serves every check that reads one, so
+    each (congruence class, budget, workers) is sampled once per pass.
+    Reports that share an entry are correlated; the Bonferroni bound needs
+    no independence, so it still holds.
     """
     cones = build_cones()
     arrs = build_arrangements()
+    store = EstimateStore(cfg.seed)
     reports: list[VerificationReport] = []
 
     def add(r: VerificationReport, label: str):
@@ -752,22 +829,22 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     for i, (name, c) in enumerate(cones):
         add(verify_euler(c), name)
     for i, (name, c) in enumerate(cones):
-        add(verify_gauss_bonnet(c, _sub_cfg(cfg, 100, i)), name)
+        add(verify_gauss_bonnet(c, _sub_cfg(cfg, 100, i), store=store), name)
     for i, (name, c) in enumerate(pointed_cones(cones, max_dim=4)):
-        add(verify_sommerville(c, _sub_cfg(cfg, 101, i)), name)
+        add(verify_sommerville(c, _sub_cfg(cfg, 101, i), store=store), name)
     named = dict(cones)
-    add(verify_face_alternation(named["orthant-3d"], 1, _sub_cfg(cfg, 102)), "orthant-3d")
-    add(verify_face_alternation(named["square-cone-3d"], 0, _sub_cfg(cfg, 103)), "square-cone-3d")
-    add(verify_face_alternation(named["square-cone-3d"], 1, _sub_cfg(cfg, 104)), "square-cone-3d")
-    add(verify_face_alternation(named["wedge-45"], 0, _sub_cfg(cfg, 105)), "wedge-45")
+    for tag, name, k in ((102, "orthant-3d", 1), (103, "square-cone-3d", 0),
+                         (104, "square-cone-3d", 1), (105, "wedge-45", 0)):
+        add(verify_face_alternation(named[name], k, _sub_cfg(cfg, tag), store=store), name)
     for i, name in enumerate(("orthant-2d", "square-cone-3d", "wedge-embedded-3d")):
-        add(verify_statdim_alternation(named[name], _sub_cfg(cfg, 106, i)), name)
+        add(verify_statdim_alternation(named[name], _sub_cfg(cfg, 106, i), store=store), name)
     for i, t in enumerate((-1.0, -0.5, 0.5, 1.0)):
-        add(verify_genfun_alternation(named["orthant-2d"], t, _sub_cfg(cfg, 107, i)), "orthant-2d")
+        add(verify_genfun_alternation(named["orthant-2d"], t, _sub_cfg(cfg, 107, i),
+                                      store=store), "orthant-2d")
     for i, name in enumerate(("plane-3d", "orthant-2d", "orthant-3d", "orthant-4d")):
         add(verify_steiner_mgf(named[name], STEINER_T_GRID, _sub_cfg(cfg, 108, i)), name)
     for i, (name, c) in enumerate(cones):
-        add(verify_statdim_consistency(c, _sub_cfg(cfg, 109, i)), name)
+        add(verify_statdim_consistency(c, _sub_cfg(cfg, 109, i), store=store), name)
     for i, name in enumerate(("ray-1d", "orthant-2d", "orthant-3d", "wedge-45")):
         add(verify_mcmullen_inverse(named[name], _sub_cfg(cfg, 110, i)), name)
     fl = face_lattice(named["orthant-2d"])
@@ -798,14 +875,14 @@ def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
             reports.append(_report_exact(f"family-closed-form[{fam},d={d}]", int(not ok),
                                          notes="exact match with lattice computation"))
     for j in (1, 2, 3):
-        add(verify_klivans_swartz(named_arrs["braid-3d"], j, _sub_cfg(cfg, 115, j)),
-            "braid-3d")
-    add(verify_klivans_swartz(named_arrs["bc-2d"], 2, _sub_cfg(cfg, 116)), "bc-2d")
+        add(verify_klivans_swartz(named_arrs["braid-3d"], j, _sub_cfg(cfg, 115, j),
+                                  store=store), "braid-3d")
+    add(verify_klivans_swartz(named_arrs["bc-2d"], 2, _sub_cfg(cfg, 116), store=store), "bc-2d")
     for j in (2, 3, 4):
         add(verify_generic_slice(named_arrs["braid-4d"], j, seed=cfg.seed), "braid-4d")
-    add(verify_hug_schneider(3, 2, _sub_cfg(cfg, 117)), "generic n=3 d=2")
-    add(verify_family_statdim("braid", 2, _sub_cfg(cfg, 118)), "")
-    add(verify_family_statdim("bc", 1, _sub_cfg(cfg, 119)), "")
+    add(verify_hug_schneider(3, 2, _sub_cfg(cfg, 117), store=store), "generic n=3 d=2")
+    add(verify_family_statdim("braid", 2, _sub_cfg(cfg, 118), store=store), "")
+    add(verify_family_statdim("bc", 1, _sub_cfg(cfg, 119), store=store), "")
     return reports
 
 

@@ -142,15 +142,18 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     code, _, err = run_main(capsys, "verify", "steiner-mgf", str(FIXTURES / "square-cone.json"),
                             "--t-grid", "12", "--samples", "2000")
     assert code == 2 and "error" in err
-    # rotation counts below one, a tolerance that is not a positive number,
-    # an empty or non-finite t-grid, a kinematic or face-alternation index
-    # outside 0..d and a slice level below 2 are input errors, not failed or
-    # vacuous checks
+    # rotation counts below one (two for the kinematic checks), a tolerance
+    # that is not a positive number, an empty or non-finite t-grid, a
+    # kinematic or face-alternation index outside 0..d and a slice level
+    # below 2 are input errors, not failed or vacuous checks
     pair = [str(FIXTURES / "orthant2.json")] * 2
     square = str(FIXTURES / "square-cone.json")
     for argv, name in (
         (["kinematic", *pair, "--trials", "0"], "trials"),
         (["kinematic", *pair, "--trials", "-3"], "trials"),
+        # the kinematic SEs are sample standard deviations over rotations
+        (["kinematic", *pair, "--trials", "1"], "trials must be at least 2"),
+        (["polar-kinematic", *pair, "--trials", "1"], "trials must be at least 2"),
         (["crofton", *pair, "--trials", "0"], "trials"),
         (["sommerville", square, "--tolerance-sigmas", "-1"], "tolerance_sigmas"),
         (["sommerville", square, "--tolerance-sigmas", "nan"], "tolerance_sigmas"),
@@ -181,6 +184,7 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys):
     ):
         code, out, err = run_main(capsys, "verify", *argv, "--samples", "500")
         assert code == 2 and name in err and out == "", (argv, err)
+        assert "Traceback" not in err, argv
 
 
 def test_verify_steiner_mgf_default_grid():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -16,12 +17,17 @@ from conevol.arrangement import (
 )
 from conevol.catalog import build_cones
 from conevol.cone import (
+    Cone,
     cone_from_generators,
     cone_from_inequalities,
     congruence_key,
     face_lattice,
+    intersect,
+    minkowski_sum,
 )
 from conevol.identities import (
+    STEINER_T_GRID,
+    EstimateStore,
     rationalize_matrix,
     run_suite,
     verify_crofton_probability,
@@ -115,24 +121,42 @@ def _classes(parts):
     return list(classes.values())
 
 
+def _store_seed(part, cfg):
+    """The seed a store at cfg.seed draws part's entry at: tag 27, then the
+    32-bit words of the SHA-256 of the key's text (cones within the
+    congruence search budget only)."""
+    d, dim, lin, form = congruence_key(part)
+    assert not isinstance(form, Cone)
+    text = repr((d, dim, lin, form, cfg.n_samples, cfg.workers))
+    digest = hashlib.sha256(text.encode()).digest()
+    words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 32, 4)]
+    return derive_seed(cfg.seed, 27, *words)
+
+
+def _class_estimate(part, cfg):
+    """The estimate a check run alone at cfg draws for part's class."""
+    cone = part if isinstance(part, Cone) else part.cone
+    return estimate_iv(cone, replace(cfg, seed=_store_seed(part, cfg)))
+
+
 @pytest.mark.parametrize("name", ["orthant-3d", "square-cone-3d", "wedge-45", "plane-3d"])
 def test_face_sum_checks_match_reference(name):
     # the four face-sum checks are one relation,
     # sum_k (-1)^k phi_k v_k(C) = sum_F (-1)^dim F sum_k phi_k v_k(F),
-    # with one estimate per class of n congruent faces: the class's first
-    # face i sampled at sub-seed (tag, i), weight n, standard error n se
+    # with one estimate per class of n congruent faces: the class's entry in
+    # a store at cfg.seed, weight n, standard error n se
     c = dict(build_cones())[name]
     cfg = SampleConfig(n_samples=4000, seed=31)
     faces = face_lattice(c).faces
     classes = _classes(faces)
 
-    def reference(phi, tag):
+    def reference(phi):
         lhs = rhs = residual = 0.0
         ses = []
         for members in classes:
-            i, n = members[0], len(members)
-            f = faces[i]
-            e = estimate_iv(f.cone, replace(cfg, seed=derive_seed(cfg.seed, tag, i)))
+            n = len(members)
+            f = faces[members[0]]
+            e = _class_estimate(f, cfg)
             w = n * (-1) ** f.dim
             rhs += w * sum(p * v for p, v in zip(phi, e.values))
             coeffs = [-w * p for p in phi]
@@ -147,18 +171,18 @@ def test_face_sum_checks_match_reference(name):
         return lhs, rhs, z
 
     d = c.d
-    checks = [(verify_face_alternation(c, k, cfg), [int(i == k) for i in range(d + 1)], 3)
+    checks = [(verify_face_alternation(c, k, cfg), [int(i == k) for i in range(d + 1)])
               for k in range(d + 1)]
-    checks.append((verify_statdim_alternation(c, cfg), list(range(d + 1)), 4))
-    checks += [(verify_genfun_alternation(c, t, cfg), [math.exp(t * k) for k in range(d + 1)], 5)
+    checks.append((verify_statdim_alternation(c, cfg), list(range(d + 1))))
+    checks += [(verify_genfun_alternation(c, t, cfg), [math.exp(t * k) for k in range(d + 1)])
                for t in (-1.0, 0.3)]
     r = verify_sommerville(c, cfg)
     if c.lineality_dim:
         assert r.passed and r.lhs == r.rhs == 0.0 and "lineality" in r.notes
     else:
-        checks.append((r, [1] + [0] * d, 1))
-    for r, phi, tag in checks:
-        lhs, rhs, z = reference(phi, tag)
+        checks.append((r, [1] + [0] * d))
+    for r, phi in checks:
+        lhs, rhs, z = reference(phi)
         assert (r.lhs, r.rhs) == (lhs, rhs), r.identity
         assert r.residual_or_z == pytest.approx(z, rel=1e-12), r.identity
         assert r.notes == f"{len(faces)} faces, {len(classes)} estimates"
@@ -398,16 +422,14 @@ def test_family_statdim_rejects_a_family_before_enumerating_regions(monkeypatch,
 
 def test_region_checks_draw_region_i_at_its_sub_seed():
     # Klivans-Swartz, Hug-Schneider and family-statdim draw one estimate per
-    # class of n congruent regions, the class's first region i at sub-seed
-    # (*tags, i), with weight n and standard error n se; their sides and
-    # z are recomputed here class by class
+    # class of n congruent regions, the class's entry in a store at
+    # cfg.seed, with weight n and standard error n se; their sides and z
+    # are recomputed here class by class
     cfg = SampleConfig(n_samples=2000, seed=31)
 
-    def estimates(regs, *tags):
+    def estimates(regs):
         cones = [reg.cone for reg in regs]
-        return [(len(m), estimate_iv(cones[m[0]],
-                                     replace(cfg, seed=derive_seed(cfg.seed, *tags, m[0]))))
-                for m in _classes(cones)]
+        return [(len(m), _class_estimate(cones[m[0]], cfg)) for m in _classes(cones)]
 
     def sums(ests, d):
         out = [0.0] * (d + 1)
@@ -422,7 +444,7 @@ def test_region_checks_draw_region_i_at_its_sub_seed():
         return abs(diff) / max(math.sqrt(var), 1 / cfg.n_samples)
 
     braid3 = named_family("braid", 3)
-    ests = estimates(regions_j(braid3, 2), 23, 2)
+    ests = estimates(regions_j(braid3, 2))
     out, var = sums(ests, 3)
     r = verify_klivans_swartz(braid3, 2, cfg)
     assert r.lhs == [round(s, 6) for s in out[:3]]
@@ -434,7 +456,7 @@ def test_region_checks_draw_region_i_at_its_sub_seed():
     assert [n for n, _ in ests] == [6]
 
     regs = chambers(named_family("generic", 2, n=3, seed=derive_seed(cfg.seed, 24)))
-    ests = estimates(regs, 25)
+    ests = estimates(regs)
     out, var = sums(ests, 2)
     r = verify_hug_schneider(3, 2, cfg)
     assert r.lhs == [round(s / len(regs), 6) for s in out]
@@ -444,7 +466,7 @@ def test_region_checks_draw_region_i_at_its_sub_seed():
     assert [n for n, _ in ests] == [2, 2, 2]
 
     regs = regions_j(named_family("bc", 2), 1)
-    ests = estimates(regs, 26)
+    ests = estimates(regs)
     total = var = 0.0
     for n, e in ests:
         total += n * sum(k * v for k, v in enumerate(e.values))
@@ -558,3 +580,152 @@ def test_product_side_is_one_estimate_of_the_product(monkeypatch, check):
             assert rhs_se == identities._functional_se(products[0], coeffs)
         else:
             assert rhs_se == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The run's estimate store
+
+
+def test_store_entry_does_not_depend_on_which_check_asks_first():
+    c = dict(build_cones())["orthant-3d"]
+    cfg = SampleConfig(n_samples=3000, seed=12)
+    checks = (lambda store: verify_gauss_bonnet(c, cfg, store=store),
+              lambda store: verify_sommerville(c, cfg, store=store),
+              lambda store: verify_statdim_consistency(c, cfg, store=store))
+    first, second = EstimateStore(cfg.seed), EstimateStore(cfg.seed)
+    forward = [check(first).to_json() for check in checks]
+    backward = [check(second).to_json() for check in reversed(checks)][::-1]
+    assert forward == backward
+    # a fresh store at cfg.seed, as each check makes when run alone
+    assert forward == [check(None).to_json() for check in checks]
+    # gauss-bonnet and statdim-consistency read C's entry, which Sommerville
+    # reads as C's top face: one entry per face class of the orthant
+    assert len(first) == len(second) == 4
+
+
+def test_congruent_cones_share_one_entry():
+    cones = dict(build_cones())
+    cfg = SampleConfig(n_samples=2000, seed=4)
+    store = EstimateStore(9)
+    e = store.estimate(cones["orthant-2d"], cfg)
+    assert store.estimate(cones["rot-orthant-2d"], cfg) is e and len(store) == 1
+    assert e.seed == _store_seed(cones["rot-orthant-2d"], replace(cfg, seed=9))
+    # a face and its own cone; the top face and the cone itself
+    c = cones["orthant-3d"]
+    faces = face_lattice(c).faces
+    quadrant = next(f for f in faces if f.dim == 2)
+    assert store.estimate(quadrant, cfg) is store.estimate(quadrant.cone, cfg)
+    assert store.estimate(faces[-1], cfg) is store.estimate(c, cfg)
+    assert len(store) == 3
+    # past the congruence search budget a cone is keyed by its canonical
+    # rows: an equal cone built again shares the entry, a rotated copy
+    # does not, and the store keeps digests, not cones
+    def orthant(sign):
+        return cone_from_generators([[sign * int(i == j) for j in range(7)]
+                                     for i in range(7)], [], 7)
+
+    small = SampleConfig(n_samples=300)
+    e = store.estimate(orthant(1), small)
+    assert store.estimate(orthant(1), small) is e
+    assert store.estimate(orthant(-1), small) is not e and len(store) == 5
+    assert all(type(k) is bytes for k in store._entries)
+
+
+def test_budget_and_workers_are_separate_entries():
+    c = dict(build_cones())["square-cone-3d"]
+    store = EstimateStore(2)
+    cfgs = [SampleConfig(n_samples=2000), SampleConfig(n_samples=3000),
+            SampleConfig(n_samples=2000, workers=2)]
+    ests = [store.estimate(c, cfg) for cfg in cfgs]
+    assert len(store) == 3 and len({e.seed for e in ests}) == 3
+    assert [e.n_samples for e in ests] == [2000, 3000, 2000]
+    # the tolerance and the caller's seed are not part of the key
+    assert store.estimate(c, SampleConfig(n_samples=2000, seed=77, tolerance_sigmas=3)) is ests[0]
+
+
+@pytest.fixture(scope="module")
+def suite_pass():
+    """One suite pass at seed 0 and 20,000 samples, and the number of
+    `estimate_iv` calls it made."""
+    calls = []
+    real = identities.estimate_iv
+
+    def counted(c, cfg):
+        calls.append(cfg.n_samples)
+        return real(c, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identities, "estimate_iv", counted)
+        reports = run_suite(SampleConfig(n_samples=20_000, seed=0))
+    return reports, len(calls)
+
+
+def test_suite_draws_one_estimate_per_class_and_budget(suite_pass):
+    # 366 calls before the store: each check re-drew the classes it met
+    reports, calls = suite_pass
+    assert calls <= 250
+    assert all(r.status != "fail" for r in reports)
+
+
+def test_checks_that_keep_their_tags_are_unchanged(suite_pass):
+    # generalized-sommerville, McMullen and Crofton read no store; the
+    # digest of their suite reports was recorded before the store existed
+    reports, _ = suite_pass
+    keep = [r.to_json() for r in reports if r.identity.split("[")[0]
+            in ("generalized-sommerville", "mcmullen-inverse", "crofton")]
+    assert len(keep) == 6
+    assert hashlib.sha256(json.dumps(keep, sort_keys=True).encode()).hexdigest() == (
+        "6a1ce4030094651d2117add64145da9c5a99d777c6da0140c2eb8b35b164575a")
+
+
+@pytest.mark.parametrize("check", ["kinematic", "polar-kinematic"])
+def test_kinematic_checks_draw_at_their_sub_seeds(monkeypatch, check):
+    # rotation t is drawn from the stream (seed, 14) and its cone sampled at
+    # sub-seed (15, t) for the kinematic check, (18, 19) for the polar one;
+    # the SE is the sample standard deviation (ddof 1) over sqrt(trials)
+    drawn = []
+    real = identities.estimate_iv
+
+    def recorded(c, cfg):
+        est = real(c, cfg)
+        drawn.append((c, cfg.seed, est))
+        return est
+
+    monkeypatch.setattr(identities, "estimate_iv", recorded)
+    cfg = SampleConfig(n_samples=2000, seed=21)
+    trials = 6
+    if check == "kinematic":
+        r = verify_kinematic(ORTHANT2, ORTHANT2, 1, trials, cfg)
+        combine, index, rng_tag, tag = intersect, 1, 14, 15
+    else:
+        r = verify_polar_kinematic(ORTHANT2, ORTHANT2, 1, trials, cfg)
+        combine, index, rng_tag, tag = minkowski_sum, 1, 18, 19
+    expected, per_trial = [], []
+    for t, rotated in enumerate(identities._rotations(ORTHANT2, trials, cfg.seed, rng_tag)):
+        cone = combine(ORTHANT2, rotated)
+        if cone.dim == 0:
+            per_trial.append(float(index == 0))
+            continue
+        expected.append((cone, derive_seed(cfg.seed, tag, t)))
+        per_trial.append(drawn[len(expected) - 1][2].values[index])
+    assert [(c, seed) for c, seed, _ in drawn] == expected
+    # the product side is exact for this pair, so the SE is the lhs's alone
+    se = float(np.std(per_trial, ddof=1)) / math.sqrt(trials)
+    assert r.lhs == pytest.approx(float(np.mean(per_trial)), rel=1e-12)
+    assert r.residual_or_z == pytest.approx(abs(r.lhs - r.rhs) / se, rel=1e-9)
+
+
+def test_kinematic_checks_need_two_rotations():
+    cfg = SampleConfig(n_samples=500)
+    for check in (verify_kinematic, verify_polar_kinematic):
+        with pytest.raises(ValueError, match="at least 2"):
+            check(ORTHANT2, ORTHANT2, 1, 1, cfg)
+    # Crofton's SE is binomial, so one rotation is enough
+    assert verify_crofton_probability(ORTHANT2, ORTHANT2, 1, cfg).n_trials == 1
+
+
+def test_steiner_grid_keeps_the_fourth_moment_finite():
+    # the SE of the sampled e^{s|P g|^2} is a sample variance, sound only
+    # while E[e^{4s|P g|^2}] is finite: s < 1/8
+    for t in STEINER_T_GRID:
+        assert (1 - math.exp(-2 * t)) / 2 < 1 / 8, t

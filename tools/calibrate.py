@@ -19,11 +19,15 @@ each beside its reference under correct code:
 
 The reference for the maximum is the median of the largest of all the
 identity's z-scores.  An overstated standard error pulls E|z| and rms below
-the reference; a biased estimator pushes them above it.  An identity whose
-z is 0, up to rounding, on every report has a closed form on both sides
-and is marked as such.  Last come the seeds with a failed report, and the
-per-seed failure rate beside its reference, 1 - prod P(z <= tol) over one
-seed's reports.
+the reference; a biased estimator pushes them above it.  A report whose z
+is exactly 0 carries no sampled information (gauss-bonnet on a subspace or
+on the zero cone, McMullen on cones whose angles are all exact), so it is
+left out of the moments and of the per-seed reference; the column "z=0"
+counts the reports left out per identity.  An identity whose z is 0, up to
+rounding, on every report has a closed form on both sides and is marked as
+such.  Last come the seeds with a failed report, and the per-seed failure
+rate beside its reference, 1 - prod P(z <= tol) over one seed's reports
+with a non-zero z.
 
 Exits 1 when a statistical report gives a z that is not finite, and 0
 otherwise: the moments are for reading, not a gate.
@@ -82,6 +86,7 @@ def main(argv=None) -> int:
         p.error("--seeds must be positive")
 
     zs = defaultdict(list)  # (identity, m) -> z per report
+    zeros = defaultdict(int)  # (identity, m) -> reports left out, z exactly 0
     failed = []  # (seed, failing identities)
     per_seed_ok = None  # P(no z above tol) of one seed's reports, reference
     tol = SampleConfig().tolerance_sigmas
@@ -91,7 +96,11 @@ def main(argv=None) -> int:
         ok = 1.0
         for r in reports:
             m = _worst_of(r)
-            zs[r.identity.split("[")[0], m].append(r.residual_or_z)
+            key = r.identity.split("[")[0], m
+            if r.residual_or_z == 0.0:
+                zeros[key] += 1
+                continue
+            zs[key].append(r.residual_or_z)
             ok *= _cdf(tol, m)
         per_seed_ok = ok
         bad = [r.identity for r in reports if r.status != "pass"]
@@ -100,21 +109,22 @@ def main(argv=None) -> int:
 
     print(f"{args.seeds} seeds from {_FIRST_SEED}, {args.samples} samples; "
           f"reference in parentheses")
-    print(f"{'identity':<26} {'m':>2} {'n':>5}  {'E|z|':>13}  {'rms':>13}  "
+    print(f"{'identity':<26} {'m':>2} {'n':>5} {'z=0':>5}  {'E|z|':>13}  {'rms':>13}  "
           f"{'max':>13}  {'P(z>' + format(tol, 'g') + ')':>17}")
     broken = 0
-    for name, m in sorted(zs):
+    for name, m in sorted(set(zs) | set(zeros)):
         z = zs[name, m]
+        head = f"{name:<26} {m:>2} {len(z):>5} {zeros[name, m]:>5}  "
         if not all(map(math.isfinite, z)):
             broken += 1
-            print(f"{name:<26} {m:>2} {len(z):>5}  non-finite z")
+            print(f"{head}non-finite z")
             continue
-        if max(z) < 1e-9:
-            print(f"{name:<26} {m:>2} {len(z):>5}  z ~ 0 on every report (closed forms)")
+        if not z or max(z) < 1e-9:
+            print(f"{head}z ~ 0 on every report (closed forms)")
             continue
         e, rms, top, tail = reference(m, len(z), tol)
         over = sum(x > tol for x in z) / len(z)
-        print(f"{name:<26} {m:>2} {len(z):>5}  "
+        print(f"{head}"
               f"{sum(z) / len(z):5.3f} ({e:5.3f})  "
               f"{math.sqrt(sum(x * x for x in z) / len(z)):5.3f} ({rms:5.3f})  "
               f"{max(z):5.2f} ({top:5.2f})  {over:7.5f} ({tail:7.5f})")
