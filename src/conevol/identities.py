@@ -93,6 +93,7 @@ from .exactlin import dot, kernel
 from .volumes import (
     IVEstimate,
     SampleConfig,
+    _check_redraws,
     _classify_points,
     derive_seed,
     estimate_functionals,
@@ -107,6 +108,10 @@ from .volumes import (
 
 @dataclass
 class VerificationReport:
+    """One check's verdict.  residual_or_z is the largest of `comparisons`
+    z-scores, 0 for an exact verdict or a skip; `run_suite`'s Bonferroni
+    count is their sum, and `to_json` leaves the field out."""
+
     identity: str
     status: str  # pass | fail | skip
     lhs: object = None
@@ -116,13 +121,14 @@ class VerificationReport:
     n_trials: int = 0
     seed: int = 0
     notes: str = ""
+    comparisons: int = 0
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {k: v for k, v in asdict(self).items() if k != "comparisons"}
 
     def table_row(self) -> str:
         return (
@@ -225,12 +231,13 @@ def _z(diff: float, se: float, n: int) -> float:
 
 
 def _report_z(name: str, z: float, cfg: SampleConfig, lhs=None, rhs=None,
-              notes: str = "", n_trials: int = 0, ok: bool = True) -> VerificationReport:
+              notes: str = "", n_trials: int = 0, ok: bool = True,
+              comparisons: int = 1) -> VerificationReport:
     """A statistical verdict: pass iff ok and z <= cfg.tolerance_sigmas."""
     return VerificationReport(
         identity=name, status="pass" if ok and z <= cfg.tolerance_sigmas else "fail",
         lhs=lhs, rhs=rhs, residual_or_z=z, n_samples=cfg.n_samples,
-        n_trials=n_trials, seed=cfg.seed, notes=notes,
+        n_trials=n_trials, seed=cfg.seed, notes=notes, comparisons=comparisons,
     )
 
 
@@ -411,7 +418,7 @@ def verify_steiner_mgf(c: Cone, t_grid, cfg: SampleConfig) -> VerificationReport
     worst = max(worst, zm)
     details.append(f"moment: z={zm:.2f}")
     return _report_z("steiner-mgf", worst, cfg, "sampled MGF", "chi-squared mixture",
-                     notes="; ".join(details))
+                     notes="; ".join(details), comparisons=len(t_grid) + 1)
 
 
 def verify_statdim_consistency(c: Cone, cfg: SampleConfig, *,
@@ -457,7 +464,7 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
 
     beta, gamma = angles(tangents, 8), angles(normals, 9)
     worst = 0.0
-    n_rel = 0
+    n_rel = sampled = 0
     for gi, g in enumerate(fl.faces):
         for ki, k in enumerate(fl.faces):
             if not fl.leq(gi, ki):
@@ -476,21 +483,22 @@ def verify_mcmullen_inverse(c: Cone, cfg: SampleConfig) -> VerificationReport:
                 s2 += (-1) ** (k.dim - f.dim) * gamma_gf * beta_fk
                 ses1.append(_quad(beta_gf * se_gfk, gamma_fk * se_bgf))
                 ses2.append(_quad(gamma_gf * se_bfk, beta_fk * se_ggf))
-            worst = max(worst, _z(s1 - expected, _quad(*ses1), cfg.n_samples),
-                        _z(s2 - expected, _quad(*ses2), cfg.n_samples))
+            se1, se2 = _quad(*ses1), _quad(*ses2)
+            worst = max(worst, _z(s1 - expected, se1, cfg.n_samples),
+                        _z(s2 - expected, se2, cfg.n_samples))
             n_rel += 2
+            sampled += (se1 > 0) + (se2 > 0)  # SE 0: every angle is exact
     return _report_z("mcmullen-inverse", worst, cfg, "incidence sums", "identity element",
-                     notes=f"{n_rel} relations checked")
+                     notes=f"{n_rel} relations checked", comparisons=sampled)
 
 
 # ---------------------------------------------------------------------------
 # Kinematics
 
 
-def rationalize_matrix(q: np.ndarray, bits: int = 40):
-    """q scaled by 2^bits and rounded to integers, entry by entry."""
-    scale = 1 << bits
-    return tuple(tuple(round(float(x) * scale) for x in row) for row in q)
+def rationalize_matrix(q: np.ndarray):
+    """q scaled by 2^40 and rounded to integers, entry by entry."""
+    return tuple(tuple(round(float(x) * (1 << 40)) for x in row) for row in q)
 
 
 def _rotate(qm, c: Cone) -> Cone:
@@ -617,16 +625,19 @@ def _crofton_line_hits(c: Cone, trials: int, seed: int) -> int:
     """Vectorized fast path: QL for a line L is the line through a uniform
     unit direction u, drawn from the stream (seed, 22), and meets C beyond
     0 iff u or -u lies in C.  Directions `_line_hit` leaves ambiguous are
-    redrawn.  A lower-dimensional C is hit with probability 0."""
+    redrawn, up to the estimators' cap (`volumes._check_redraws`).  A
+    lower-dimensional C is hit with probability 0."""
     if c.dim < c.d:
         return 0
     rng = np.random.default_rng(np.random.SeedSequence((seed, 22)))
-    hits = 0
+    hits = ambiguous = 0
     need = trials
     while need > 0:
         u = rng.standard_normal((need, c.d))
         u /= np.linalg.norm(u, axis=1)[:, None]
         hit, ok = _line_hit(c, u)
+        ambiguous += int((~ok).sum())
+        _check_redraws(ambiguous, trials)
         hits += int((hit & ok).sum())
         need -= int(ok.sum())
     return hits
@@ -732,7 +743,7 @@ def verify_klivans_swartz(a: Arrangement, j: int, cfg: SampleConfig, *,
                 for k in range(j + 1))
     return _report_z(f"klivans-swartz[j={j}]", worst, cfg,
                      [round(s, 6) for s in sums[: j + 1]], expected,
-                     notes=_class_note(len(regs), "regions", drawn))
+                     notes=_class_note(len(regs), "regions", drawn), comparisons=j + 1)
 
 
 def verify_generic_slice(a: Arrangement, j: int, seed: int = 0) -> VerificationReport:
@@ -775,7 +786,7 @@ def verify_hug_schneider(n: int, d: int, cfg: SampleConfig, *,
                    cfg.n_samples) for k in range(d + 1))
     return _report_z(f"hug-schneider[n={n},d={d}]", worst, cfg,
                      [round(s / r, 6) for s in sums], [float(x) for x in expected],
-                     notes=_class_note(r, "chambers", drawn))
+                     notes=_class_note(r, "chambers", drawn), comparisons=d + 1)
 
 
 def verify_family_statdim(family: str, j: int, cfg: SampleConfig, *,
@@ -807,10 +818,10 @@ def verify_family_statdim(family: str, j: int, cfg: SampleConfig, *,
 def run_suite(cfg: SampleConfig, trials: int = 128) -> list[VerificationReport]:
     """Run the identity battery over the bundled cone/arrangement library.
 
-    About 124 stochastic z-comparisons at tolerance_sigmas = 4, a report
-    keeping the worst of m counted m times; the family-wise false-failure
-    probability under correct code is below 1% (Bonferroni: 124 x 6.3e-5
-    ~ 0.78%).  Exact checks carry no statistical risk.
+    120 stochastic z-comparisons at tolerance_sigmas = 4, the reports'
+    `comparisons` summed, at any seed and budget; the family-wise
+    false-failure probability under correct code is below 1% (Bonferroni:
+    120 x 6.3e-5 ~ 0.76%).  Exact checks carry no statistical risk.
 
     One `EstimateStore` at cfg.seed serves every check that reads one, so
     each (congruence class, budget, workers) is sampled once per pass.

@@ -55,7 +55,7 @@ import numpy as np
 
 from .cone import Cone, Face, canonical_decomposition, coordinate_factors, face_lattice
 from .cone import cone_from_inequalities, normal_face
-from .exactlin import Subspace, dot, kernel
+from .exactlin import Subspace, _bits, kernel
 
 REL_TOL = 1e-9  # relint slack relative to the sample norm
 # floats in one chunk of classify's stacked margins: a cache-sized working set
@@ -121,7 +121,6 @@ class IVEstimate:
     n_samples: int
     seed: int
     face_hit_counts: tuple[int, ...]
-    face_dims: tuple[int, ...]
 
     def to_json(self) -> dict:
         return {
@@ -358,13 +357,13 @@ class ProductKernel(ProjectionKernel):
     tuple of each factor's best face, with margin m1 = min_i m1_i.  The
     second best differs from it in some factor j, so its margin is at
     most min(m2_j, m1), attained with every other factor's best face; so
-    m2 = min(m1, max_i m2_i).  A mixed-radix table, built
-    exactly from generator masks, maps each tuple to its face of C in
-    lattice order.  Only `_locate` is the product's own: acceptance and
-    |P g|^2 come from the shared `classify`, on the whole draw and from
-    C's face projectors, so ok equals the full kernel's, and so do the
-    face and |P g|^2 of every accepted draw (a rejected draw's tie may
-    fall to another face); m1 and m2 differ from its only by the
+    m2 = min(m1, max_i m2_i).  A mixed-radix table maps each tuple to its
+    face of C in lattice order, the factor faces' generator masks read as
+    masks of C's generators.  Only `_locate` is the product's own:
+    acceptance and |P g|^2 come from the shared `classify`, on the whole
+    draw and from C's face projectors, so ok equals the full kernel's, and
+    so do the face and |P g|^2 of every accepted draw (a rejected draw's
+    tie may fall to another face); m1 and m2 differ from its only by the
     rounding of the factors' smaller QRs.  A margin pass costs the sum of
     the factors' constraint rows, not their product.  A factor with one
     face, a line or {0}, has margins +inf and -inf and radix 1, so it is
@@ -395,12 +394,10 @@ class ProductKernel(ProjectionKernel):
         index = {f.gen_mask: j for j, f in enumerate(lattice.faces)}
         masks = [0]  # generator mask of C's face, per mixed-radix code
         for cols, factor in parts:
-            own = [(i, tuple(r[k] for k in cols)) for i, r in enumerate(c.generators)
-                   if any(r[k] for k in cols)]
-            # a generator of C in this block lies in a face of the factor
-            # iff every facet active on the face is tight on its restriction
-            block = [sum(1 << i for i, r in own
-                         if not any(dot(factor.inequalities[a], r) for a in face.active))
+            # the factor's generators are C's generators in this block, in
+            # C's order, so its generator i is C's generator own[i]
+            own = [i for i, r in enumerate(c.generators) if any(r[k] for k in cols)]
+            block = [sum(1 << own[i] for i in _bits(face.gen_mask))
                      for face in face_lattice(factor).faces]
             masks = [m | b for m in masks for b in block]
         self._table = np.array([index[m] for m in masks], dtype=np.intp)
@@ -453,7 +450,7 @@ def _own_basis(c: Cone) -> np.ndarray | None:
     return _orthonormal(kernel(c.equalities + c.lineality.basis, c.d))
 
 
-def _face_spans(lattice, basis: np.ndarray | None = None):
+def _face_spans(lattice, basis: np.ndarray | None):
     """(face_dims, bases, projectors, spans) of a lattice's faces: each
     face's dimension, an orthonormal basis of its span and the span
     projector, stacked (nf, k, k), and the ambient span bases (d, dim F),
@@ -542,6 +539,12 @@ def _compile(c: Cone) -> ProjectionKernel:
 _BATCH = 16384
 
 
+def _check_redraws(ambiguous: int, n: int) -> None:
+    """Every sampler's cap: raise once ambiguous redraws exceed 0.1% of n plus 8."""
+    if ambiguous > 0.001 * n + 8:
+        raise AmbiguousProjection(float("nan"), float("nan"))
+
+
 def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2: bool):
     """Yield (face_index, pnorm2) arrays for cfg.n_samples accepted draws;
     pnorm2 is None unless asked for.
@@ -550,8 +553,8 @@ def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2
     for and the basis leaves out lin(C), each accepted draw's |P h|^2 gains
     the squared norm of dim lin(C) further normals, its χ² share in lin(C),
     drawn after the batch from the same substream.  Ambiguous draws are
-    replaced by fresh draws from the same substream; raises if they exceed
-    0.1% of the budget.
+    replaced by fresh draws from the same substream, up to `_check_redraws`'s
+    cap.
     """
     n = cfg.n_samples
     per = [n // cfg.workers + (1 if w < n % cfg.workers else 0) for w in range(cfg.workers)]
@@ -565,8 +568,7 @@ def _sample_faces(kern: ProjectionKernel, cfg: SampleConfig, stream: int, pnorm2
             idx, pn2, ok, _ = kern.classify(g, pnorm2)
             n_ok = int(ok.sum())
             ambiguous += b - n_ok
-            if ambiguous > 0.001 * n + 8:
-                raise AmbiguousProjection(float("nan"), float("nan"))
+            _check_redraws(ambiguous, n)
             if n_ok < b:
                 idx, pn2 = idx[ok], (pn2[ok] if pnorm2 else None)
             if pnorm2 and kern._lin_draws:
@@ -602,7 +604,6 @@ def estimate_iv(c: Cone, cfg: SampleConfig) -> IVEstimate:
         n_samples=n,
         seed=cfg.seed,
         face_hit_counts=tuple(int(x) for x in counts),
-        face_dims=tuple(int(x) for x in kern.face_dims),
     )
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conevol.arrangement import (
     named_family,
     regions_j,
 )
-from conevol.catalog import build_cones
+from conevol.catalog import build_arrangements, build_cones
 from conevol.cone import (
     Cone,
     cone_from_generators,
@@ -665,6 +667,40 @@ def test_suite_draws_one_estimate_per_class_and_budget(suite_pass):
     reports, calls = suite_pass
     assert calls <= 250
     assert all(r.status != "fail" for r in reports)
+
+
+def test_each_check_states_its_comparison_count():
+    # the z of a report is the largest of this many z-scores
+    cfg = SampleConfig(n_samples=500, seed=4)
+    assert verify_steiner_mgf(ORTHANT2, STEINER_T_GRID, cfg).comparisons == 4
+    braid = dict(build_arrangements())["braid-3d"]
+    for j in (1, 2, 3):
+        assert verify_klivans_swartz(braid, j, cfg).comparisons == j + 1
+    for n, d in ((3, 2), (4, 3)):
+        assert verify_hug_schneider(n, d, cfg).comparisons == d + 1
+    # one per relation with a sampled angle: every angle of the orthant has
+    # a closed form, and two relations of the square cone read a sampled one
+    assert verify_mcmullen_inverse(ORTHANT2, cfg).comparisons == 0
+    assert verify_mcmullen_inverse(SQUARE, cfg).comparisons == 2
+    assert verify_gauss_bonnet(SQUARE, cfg).comparisons == 1
+    assert verify_euler(SQUARE).comparisons == 0
+    assert verify_zaslavsky(braid).comparisons == 0
+    assert verify_crofton_probability(PLANE, PLANE, 8, cfg).comparisons == 0  # a skip
+
+
+def test_suite_comparison_count_is_the_documented_one(suite_pass):
+    # the suite's Bonferroni count is the sum of its reports' comparisons,
+    # whatever the seed and budget; the run_suite docstring and README
+    # state that total and its bound at 6.3e-5 per comparison
+    reports, _ = suite_pass
+    total = sum(r.comparisons for r in reports)
+    assert sum(r.comparisons for r in run_suite(SampleConfig(n_samples=500, seed=9))) == total
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for text in (run_suite.__doc__, readme):
+        flat = " ".join(text.split())
+        assert re.findall(r"(\d+) stochastic z-comparisons", flat) == [str(total)]
+        assert re.findall(r"(\d+) x 6\.3e-5 ~ ([\d.]+)%", flat) == [
+            (str(total), f"{100 * total * 6.3e-5:.2f}")]
 
 
 def test_checks_that_keep_their_tags_are_unchanged(suite_pass):

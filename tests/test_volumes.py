@@ -23,6 +23,7 @@ from conevol.cone import (
     product,
 )
 from conevol.exactlin import mat
+from conevol.identities import verify_crofton_probability
 from conevol.volumes import (
     REL_TOL,
     AmbiguousProjection,
@@ -663,13 +664,18 @@ def test_moreau_project_raises_on_boundary():
     assert exc.value.best <= REL_TOL and exc.value.second >= -REL_TOL
 
 
-@pytest.mark.parametrize("estimator", [estimate_iv, statdim_mc])
-def test_too_many_ambiguous_draws_raise(monkeypatch, estimator):
+@pytest.mark.parametrize("draw", [
+    lambda cfg: estimate_iv(ORTHANT3, cfg),
+    lambda cfg: statdim_mc(ORTHANT3, cfg),
+    # Crofton's line test redraws about 1.2% of its directions here
+    lambda cfg: verify_crofton_probability(CATALOG["orthant-2d"], CATALOG["line-2d"], 8192, cfg),
+], ids=["estimate_iv", "statdim_mc", "crofton"])
+def test_too_many_ambiguous_draws_raise(monkeypatch, draw):
     # a margin of 1% of |g| leaves about 3% of draws on orthant-3d ambiguous,
-    # far above the 0.1% of the budget that the sampler tolerates
+    # far above the 0.1% of the budget that every sampler tolerates
     monkeypatch.setattr(volumes, "REL_TOL", 1e-2)
     with pytest.raises(AmbiguousProjection):
-        estimator(ORTHANT3, SampleConfig(n_samples=20_000, seed=3))
+        draw(SampleConfig(n_samples=20_000, seed=3))
 
 
 # ---------------------------------------------------------------------------

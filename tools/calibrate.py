@@ -5,32 +5,29 @@
 
 Runs `run_suite(SampleConfig(samples, seed=s))` for seeds 1000 .. 1000 +
 seeds - 1 and pools the z-score of every statistical report by identity
-(the name before any "[...]") and m below.  For each identity it prints the number of
-z-scores, E|z|, the rms, the maximum and the fraction above the tolerance,
-each beside its reference under correct code:
-
-* |N(0,1)| for a single z: E 0.798, rms 1, P(z > 4) 6.3e-5;
-* the maximum of m |N(0,1)| for a report that keeps the worst of m
-  points: steiner-mgf (its t grid and the moment), hug-schneider (v_0 ..
-  v_d) and klivans-swartz (v_0 .. v_j).  The points of the last two are
-  summed over the same regions' estimates, whose intrinsic volumes add up
-  to 1, so they are dependent, and some are exact; their moments lie
-  between those of a single z and the worst of m.
+(the name before any "[...]") and by m, the report's `comparisons`: the
+number of z-scores its z is the largest of.  For each it prints the number
+of z-scores, E|z|, the rms, the maximum and the fraction above the
+tolerance, each beside its reference under correct code, the maximum of m
+independent |N(0,1)| (m = 1: E 0.798, rms 1, P(z > 4) 6.3e-5).  The m
+points of klivans-swartz, hug-schneider and steiner-mgf are dependent, so
+their moments lie between those of a single z and the reference.
 
 The reference for the maximum is the median of the largest of all the
 identity's z-scores.  An overstated standard error pulls E|z| and rms below
-the reference; a biased estimator pushes them above it.  A report whose z
-is exactly 0 carries no sampled information (gauss-bonnet on a subspace or
-on the zero cone, McMullen on cones whose angles are all exact), so it is
-left out of the moments and of the per-seed reference; the column "z=0"
-counts the reports left out per identity.  An identity whose z is 0, up to
-rounding, on every report has a closed form on both sides and is marked as
-such.  Last come the seeds with a failed report, and the per-seed failure
-rate beside its reference, 1 - prod P(z <= tol) over one seed's reports
-with a non-zero z.
+the reference; a biased estimator pushes them above it.  A report with no
+comparisons (McMullen on cones whose angles all have closed forms) or whose
+z is exactly 0 (gauss-bonnet on a subspace or on the zero cone) carries no
+sampled information, so it is left out of the moments and of the per-seed
+reference; the column "z=0" counts the reports left out per identity.  An
+identity whose z is 0, up to rounding, on every report has a closed form on
+both sides and is marked as such.  Last come the seeds with a failed report,
+and the per-seed failure rate beside its reference, 1 - prod P(z <= tol)
+over one seed's reports that are not left out, each the largest of its m.
 
-Exits 1 when a statistical report gives a z that is not finite, and 0
-otherwise: the moments are for reading, not a gate.
+Exits 1 when any seed has a failed report or a z that is not finite, and 0
+otherwise: a fixed-seed gate, so a failing seed is reported, not re-drawn;
+the moments are for reading.
 """
 
 from __future__ import annotations
@@ -44,15 +41,6 @@ from conevol.identities import run_suite
 from conevol.volumes import SampleConfig
 
 _FIRST_SEED = 1000
-
-
-def _worst_of(r) -> int:
-    """How many |N(0,1)| points a report's z is the maximum of."""
-    if r.identity == "steiner-mgf":
-        return r.notes.count("z=")
-    if r.identity.startswith(("hug-schneider", "klivans-swartz")):
-        return len(r.lhs)
-    return 1
 
 
 def _cdf(x: float, m: int) -> float:
@@ -95,13 +83,12 @@ def main(argv=None) -> int:
         reports = [r for r in run_suite(cfg) if r.n_samples]
         ok = 1.0
         for r in reports:
-            m = _worst_of(r)
-            key = r.identity.split("[")[0], m
-            if r.residual_or_z == 0.0:
+            key = r.identity.split("[")[0], r.comparisons
+            if r.comparisons == 0 or r.residual_or_z == 0.0:
                 zeros[key] += 1
                 continue
             zs[key].append(r.residual_or_z)
-            ok *= _cdf(tol, m)
+            ok *= _cdf(tol, r.comparisons)
         per_seed_ok = ok
         bad = [r.identity for r in reports if r.status != "pass"]
         if bad:
@@ -132,7 +119,7 @@ def main(argv=None) -> int:
           f"({len(failed) / args.seeds:.4f}; reference {1.0 - per_seed_ok:.4f})")
     for seed, bad in failed:
         print(f"  seed {seed}: {', '.join(bad)}")
-    return 1 if broken else 0
+    return 1 if broken or failed else 0
 
 
 if __name__ == "__main__":
